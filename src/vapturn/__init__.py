@@ -40,7 +40,7 @@ from .simulate import (
     summarize,
 )
 from .stats import SampleDist, rank_sum_test
-from .streaming import FrameResult, StreamContext, run_stream
+from .streaming import FrameResult, NonFiniteAudioError, StreamContext, replay, run_stream
 from .training import AugmentConfig, eval_per_snr, fit, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

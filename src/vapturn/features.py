@@ -79,6 +79,11 @@ def extract_features(w, n_mels: int = N_MELS) -> np.ndarray:
         shape=(n_frames, WINDOW_SAMPLES),
         strides=(HOP_SAMPLES * stride, stride),
     )
+    return _frame_features(frames, n_mels)
+
+
+def _frame_features(frames: np.ndarray, n_mels: int = N_MELS) -> np.ndarray:
+    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame."""
     spectrum = np.fft.rfft(frames * _window_fn(), axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     mel_power = power @ mel_filterbank(n_mels).T

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codebook import N_STATES
+from .features import HOP_SAMPLES
 
 HEAD_INIT_STD = 0.02
 LN_EPS = 1e-6
@@ -56,7 +57,7 @@ class ModelConfig:
 
     @property
     def context_samples(self) -> int:
-        return self.context_frames * 1600
+        return self.context_frames * HOP_SAMPLES
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,18 +258,26 @@ def _score_bias(t_q: int, t_kv: int, heads: int):
 
 
 def _attn_fwd(q_in, kv_in, p, base, heads):
-    b, t, d = q_in.shape
+    """Attention of the query rows over the key/value rows.
+
+    With fewer query rows than key/value rows, the queries are the last
+    t_q positions of the sequence (the causal mask and distance penalty are
+    those rows of the full-length bias). Only _forward's full-row caches
+    (t_q == t_kv) are valid input to _attn_bwd.
+    """
+    b, t_q, d = q_in.shape
+    t_kv = kv_in.shape[1]
     dh = d // heads
     # head-major layout (b, heads, t, dh) keeps every contraction a batched dgemm
-    q = (q_in @ p[f"{base}.Wq"] + p[f"{base}.bq"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    k = (kv_in @ p[f"{base}.Wk"] + p[f"{base}.bk"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    v = (kv_in @ p[f"{base}.Wv"] + p[f"{base}.bv"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    q = (q_in @ p[f"{base}.Wq"] + p[f"{base}.bq"]).reshape(b, t_q, heads, dh).transpose(0, 2, 1, 3)
+    k = (kv_in @ p[f"{base}.Wk"] + p[f"{base}.bk"]).reshape(b, t_kv, heads, dh).transpose(0, 2, 1, 3)
+    v = (kv_in @ p[f"{base}.Wv"] + p[f"{base}.bv"]).reshape(b, t_kv, heads, dh).transpose(0, 2, 1, 3)
     scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
-    scores += _score_bias(t, t, heads)[None]
+    scores += _score_bias(t_kv, t_kv, heads)[None, :, t_kv - t_q :]
     scores -= scores.max(axis=-1, keepdims=True)
     expd = np.exp(scores)
     attn = expd / expd.sum(axis=-1, keepdims=True)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t_q, d)
     out = ctx @ p[f"{base}.Wo"] + p[f"{base}.bo"]
     cache = (q_in, kv_in, q, k, v, attn, ctx)
     return out, cache
@@ -372,8 +381,15 @@ def _cross_block_bwd(dout, cache, p, base, heads, grads):
 # full network
 
 
-def _forward(params, feats_a, feats_b, cfg: ModelConfig):
-    """Batched forward pass; returns raw head logits plus the backprop cache."""
+def _forward(params, feats_a, feats_b, cfg: ModelConfig, last_row: bool = False):
+    """Batched forward pass; returns raw head logits plus the backprop cache.
+
+    With last_row, the last cross layer, the final LN and the heads run on the
+    newest frame only, so the logits have one row per sequence; the self
+    blocks and earlier cross layers still run on every row because they feed
+    the other channel's keys and values. That cache is not valid for
+    _backward.
+    """
     if feats_a.shape != feats_b.shape:
         raise ShapeMismatchError(f"{feats_a.shape} vs {feats_b.shape}")
     if feats_a.shape[1] > cfg.context_frames:
@@ -392,8 +408,11 @@ def _forward(params, feats_a, feats_b, cfg: ModelConfig):
         ch_caches.append((ca, cb))
     cross_caches = []
     for layer in range(cfg.cross_layers):
-        ya, ca = _cross_block_fwd(xa, xb, params, f"x.{sa}.{layer}", cfg.heads)
-        yb, cb = _cross_block_fwd(xb, xa, params, f"x.{sb}.{layer}", cfg.heads)
+        qa, qb = xa, xb
+        if last_row and layer == cfg.cross_layers - 1:
+            qa, qb = xa[:, -1:], xb[:, -1:]
+        ya, ca = _cross_block_fwd(qa, xb, params, f"x.{sa}.{layer}", cfg.heads)
+        yb, cb = _cross_block_fwd(qb, xa, params, f"x.{sb}.{layer}", cfg.heads)
         cross_caches.append((ca, cb))
         xa, xb = ya, yb
     ha, lnf_a = _ln_fwd(xa, params["final.g"], params["final.b"])
@@ -467,6 +486,14 @@ def forward(params: dict, batch: FrameBatch, cfg: ModelConfig) -> PredictionOutp
         params, batch.features_a[None], batch.features_b[None], cfg
     )
     return PredictionOutput(vap=_softmax(vap_logits[0]), vad=_sigmoid(vad_logits[0]))
+
+
+def forward_last(params: dict, feats_a, feats_b, cfg: ModelConfig) -> PredictionOutput:
+    """Newest-frame predictions for a (B, T, bands) batch of feature windows:
+    vap is (B, N_STATES), vad is (B, 2). Equals the last row of forward on
+    each window up to float rounding."""
+    vap_logits, vad_logits, _ = _forward(params, feats_a, feats_b, cfg, last_row=True)
+    return PredictionOutput(vap=_softmax(vap_logits[:, -1]), vad=_sigmoid(vad_logits[:, -1]))
 
 
 def loss_and_grads_from_logits(vap_logits, vad_logits, target_state, target_vad):

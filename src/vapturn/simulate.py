@@ -5,8 +5,8 @@ speaker) on a 10 ms grid so the activity labels are exact by construction.
 Half the user turns close with a learnable turn-final cue (spectral darkening
 plus level decay); the rest end flat, and some turns continue across a long
 mid-turn pause, which keeps the end-of-turn race genuinely ambiguous. Sessions
-replay a scripted dialogue through the streaming engine and measure when each
-endpointing policy would have let the robot respond.
+replay a scripted dialogue through the streaming engine's batched replay and
+measure when each endpointing policy would have let the robot respond.
 """
 
 from __future__ import annotations
@@ -36,7 +36,10 @@ from .endpointing import (
 from .model import ModelConfig
 from .noise import NoiseBank, Condition, apply_condition, shape_noise
 from .stats import SampleDist, describe, histogram_fixed, rank_sum_test
-from .streaming import run_stream
+
+# run_stream is not called here; it stays importable as
+# vapturn.simulate.run_stream, a name perfbench's traced run wraps
+from .streaming import replay, run_stream  # noqa: F401
 
 POLICY_STT = "stt"
 POLICY_HYBRID = "hybrid"
@@ -379,7 +382,7 @@ def run_session(
             raise ValueError("noise_condition requires a noise bank")
         mix_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(99,)))
         user_wave, _ = apply_condition(user_wave, noise_condition, bank, mix_rng)
-    frames = run_stream(params, model_cfg, user_wave) if needs_model else []
+    frames = replay(params, model_cfg, user_wave) if needs_model else []
 
     records = []
     turns = dialogue.turns

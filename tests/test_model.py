@@ -8,7 +8,9 @@ from vapturn.model import (
     ModelConfig,
     NoTargetsError,
     ShapeMismatchError,
+    _attn_fwd,
     forward,
+    forward_last,
     init_params,
     loss,
     loss_from_logits,
@@ -126,6 +128,39 @@ class TestForward:
 
     def test_param_count_positive(self, params):
         assert param_count(params) > 1000
+
+
+class TestLastRow:
+    @pytest.mark.parametrize("cross_layers", [1, 2])
+    def test_last_row_attention_equals_full_rows(self, cross_layers):
+        cfg = ModelConfig(cross_layers=cross_layers)
+        p = init_params(cfg, seed=3)
+        rng = np.random.default_rng(8)
+        q_in = rng.standard_normal((3, 20, cfg.model_dim))
+        kv_in = rng.standard_normal((3, 20, cfg.model_dim))
+        for layer in range(cross_layers):
+            base = f"x.a.{layer}.attn"
+            full, _ = _attn_fwd(q_in, kv_in, p, base, cfg.heads)
+            last, _ = _attn_fwd(q_in[:, -1:], kv_in, p, base, cfg.heads)
+            assert last.shape == (3, 1, cfg.model_dim)
+            assert np.max(np.abs(last - full[:, -1:])) <= 1e-12
+
+    @pytest.mark.parametrize("cross_layers", [1, 2])
+    def test_forward_last_equals_last_row_of_forward(self, cross_layers):
+        cfg = ModelConfig(cross_layers=cross_layers)
+        p = init_params(cfg, seed=4)
+        rng = np.random.default_rng(9)
+        batches = [_random_batch(rng, t=15, with_targets=False) for _ in range(3)]
+        last = forward_last(
+            p,
+            np.stack([b.features_a for b in batches]),
+            np.stack([b.features_b for b in batches]),
+            cfg,
+        )
+        for i, batch in enumerate(batches):
+            full = forward(p, batch, cfg)
+            assert np.max(np.abs(last.vap[i] - full.vap[-1])) <= 1e-12
+            assert np.max(np.abs(last.vad[i] - full.vad[-1])) <= 1e-12
 
 
 class TestLoss:

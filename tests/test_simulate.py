@@ -160,6 +160,22 @@ class TestRunSession:
         assert len(records) == 3
         assert all(r.source == SOURCE_STT for r in records)
 
+    def test_replay_and_streaming_give_identical_decisions(self, dialogue, monkeypatch):
+        # theta just above the untrained model's p_now_robot of about 0.5, so
+        # the detector fires on some turns and not on others
+        import vapturn.simulate as simulate
+        from vapturn.streaming import run_stream
+
+        cfg = ModelConfig()
+        params = init_params(cfg, seed=2)
+        vap_cfg = VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0)
+        kwargs = dict(params=params, model_cfg=cfg, vap_cfg=vap_cfg, seed=1)
+        replayed = run_session(dialogue, "hybrid", **kwargs)
+        monkeypatch.setattr(simulate, "replay", run_stream)
+        streamed = run_session(dialogue, "hybrid", **kwargs)
+        assert replayed == streamed
+        assert {r.source for r in replayed} == {SOURCE_VAP, SOURCE_STT}
+
     def test_user_response_from_script(self, dialogue):
         records = run_session(dialogue, "stt", seed=2)
         turns = dialogue.turns

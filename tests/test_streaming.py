@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vapturn.codebook import p_now_pair
-from vapturn.features import extract_features
+from vapturn.features import HOP_SAMPLES, extract_features
 from vapturn.model import FrameBatch, ModelConfig, forward, init_params
 from vapturn.streaming import (
     FrameResult,
     MismatchedChunkError,
     ModelNotAttachedError,
+    NonFiniteAudioError,
     StreamContext,
+    replay,
     run_stream,
 )
 
@@ -194,3 +198,91 @@ class TestReset:
         fresh = run_stream(params, cfg, chunk)[0]
         assert r.p_now_user == fresh.p_now_user
         assert r.frame_index == 1
+
+
+def _fields(r: FrameResult) -> tuple:
+    return (r.frame_index, r.timestamp_s, r.p_now_user, r.p_now_robot, r.vad, r.vap_entropy)
+
+
+class TestChunkingExtremes:
+    def test_one_sample_chunks_bit_exact(self, params, cfg):
+        audio = _audio(0.45, seed=16)
+        base = run_stream(params, cfg, audio)
+        ones = run_stream(params, cfg, audio, chunk_samples=1)
+        assert len(base) == 4
+        assert [_fields(r) for r in ones] == [_fields(r) for r in base]
+
+
+class TestNonFiniteAudio:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_push_rejects_and_leaves_queue_and_clock(self, params, cfg, bad):
+        audio = _audio(0.5, seed=15)
+        poisoned = audio[2000:3000].copy()
+        poisoned[17] = bad
+        ctx = StreamContext(params, cfg)
+        ctx.push_audio(audio[:2000])
+        results = ctx.tick_all()
+        with pytest.raises(NonFiniteAudioError):
+            ctx.push_audio(poisoned)
+        with pytest.raises(NonFiniteAudioError):
+            ctx.push_audio(audio[2000:3000], poisoned)
+        assert ctx.clock == 1 and ctx.samples_pending == 400
+        ctx.push_audio(audio[2000:])
+        results += ctx.tick_all()
+        assert [_fields(r) for r in results] == [_fields(r) for r in run_stream(params, cfg, audio)]
+
+    def test_replay_rejects(self, params, cfg):
+        audio = _audio(0.5, seed=17)
+        poisoned = audio.copy()
+        poisoned[-1] = np.nan
+        assert issubclass(NonFiniteAudioError, ValueError)
+        with pytest.raises(NonFiniteAudioError):
+            replay(params, cfg, poisoned)
+        with pytest.raises(NonFiniteAudioError):
+            replay(params, cfg, audio, poisoned)
+
+
+REPLAY_CONFIGS = (ModelConfig(), ModelConfig(context_frames=6, cross_layers=2))
+DEFAULT_CFG = REPLAY_CONFIGS[0]
+
+
+class TestReplay:
+    """replay computes in batches the ticks run_stream emits one at a time."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        cfg=st.sampled_from(REPLAY_CONFIGS),
+        whole_hops=st.sampled_from(["none", "context-1", "context", "context+1"]),
+        extra=st.integers(0, HOP_SAMPLES - 1),
+        robot=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    @example(cfg=DEFAULT_CFG, whole_hops="none", extra=0, robot=False, seed=0)
+    @example(cfg=DEFAULT_CFG, whole_hops="none", extra=1234, robot=True, seed=1)
+    @example(cfg=DEFAULT_CFG, whole_hops="context-1", extra=0, robot=True, seed=2)
+    @example(cfg=DEFAULT_CFG, whole_hops="context+1", extra=777, robot=False, seed=3)
+    def test_replay_matches_run_stream(self, cfg, whole_hops, extra, robot, seed):
+        ctx = cfg.context_frames
+        n_hops = {"none": 0, "context-1": ctx - 1, "context": ctx, "context+1": ctx + 1}[whole_hops]
+        n = n_hops * HOP_SAMPLES + extra
+        params = init_params(cfg, seed=2)
+        rng = np.random.default_rng(seed)
+        audio_a = np.clip(0.3 * rng.standard_normal(n), -1, 1)
+        audio_b = np.clip(0.3 * rng.standard_normal(n), -1, 1) if robot else None
+        streamed = run_stream(params, cfg, audio_a, audio_b)
+        replayed = replay(params, cfg, audio_a, audio_b)
+        assert len(replayed) == len(streamed) == n_hops
+        for r, s in zip(replayed, streamed):
+            assert (r.frame_index, r.timestamp_s) == (s.frame_index, s.timestamp_s)
+            for name in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
+                assert abs(getattr(r, name) - getattr(s, name)) <= 1e-9, name
+            assert r.compute_ms >= 0.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_a=st.integers(0, 4000), n_b=st.integers(0, 4000))
+    def test_mismatched_channel_lengths_rejected(self, params, cfg, n_a, n_b):
+        if n_a == n_b:
+            n_b += 1
+        for run in (run_stream, replay):
+            with pytest.raises(MismatchedChunkError):
+                run(params, cfg, np.zeros(n_a), np.zeros(n_b))

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -39,6 +40,7 @@ from .stats import SampleDist
 from .streaming import StreamContext, run_stream
 from .training import (
     AugmentConfig,
+    CheckpointError,
     eval_per_snr,
     fit,
     load_checkpoint,
@@ -121,14 +123,17 @@ def _noise_bank(resolved: dict) -> NoiseBank:
 
 
 def _model_config(resolved: dict) -> ModelConfig:
-    return ModelConfig(
-        feature_bands=int(resolved["feature_bands"]),
-        model_dim=int(resolved["model_dim"]),
-        channel_layers=int(resolved["channel_layers"]),
-        cross_layers=int(resolved["cross_layers"]),
-        heads=int(resolved["heads"]),
-        seed=int(resolved["seed"]),
-    )
+    try:
+        return ModelConfig(
+            feature_bands=int(resolved["feature_bands"]),
+            model_dim=int(resolved["model_dim"]),
+            channel_layers=int(resolved["channel_layers"]),
+            cross_layers=int(resolved["cross_layers"]),
+            heads=int(resolved["heads"]),
+            seed=int(resolved["seed"]),
+        )
+    except ValueError as exc:
+        raise CliConfigError(f"model config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +457,24 @@ def cmd_stream(args) -> int:
     return EXIT_OK
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _machine_info() -> dict:
+    """What a timing depends on besides the code: usable cores, the BLAS numpy
+    was built with, and the BLAS thread variables that are set."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 prints its config instead
+        blas = {}
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "nproc": nproc,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {k: os.environ[k] for k in BLAS_THREAD_VARS if k in os.environ},
+    }
+
+
 BENCH_DEFAULTS = {"checkpoint": None, "seconds": 20.0, "seed": 0, "budget_ms": None}
 
 
@@ -473,6 +496,7 @@ def cmd_bench(args) -> int:
         "p95_ms": float(np.percentile(ms, 95)),
         "max_ms": float(ms.max()),
         "rtf_mean": float(ms.mean() / 100.0),
+        **_machine_info(),
     }
     print(json.dumps(report, sort_keys=True))
     budget = resolved["budget_ms"]
@@ -572,7 +596,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliConfigError as exc:
+    except (CliConfigError, CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codebook import N_STATES
-from .features import HOP_SAMPLES
+from .features import HOP_SAMPLES, N_MELS
 
 HEAD_INIT_STD = 0.02
 LN_EPS = 1e-6
@@ -47,6 +47,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.feature_bands != N_MELS:
+            raise ValueError(
+                f"feature_bands {self.feature_bands} unsupported: the frontend emits {N_MELS} bands"
+            )
         if self.model_dim % self.heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
@@ -381,31 +385,37 @@ def _cross_block_bwd(dout, cache, p, base, heads, grads):
 # full network
 
 
-def _forward(params, feats_a, feats_b, cfg: ModelConfig, last_row: bool = False):
-    """Batched forward pass; returns raw head logits plus the backprop cache.
+def _check_context(n_frames: int, cfg: ModelConfig) -> None:
+    if n_frames > cfg.context_frames:
+        raise ShapeMismatchError(
+            f"sequence of {n_frames} frames exceeds context {cfg.context_frames}"
+        )
+
+
+def _encode(params, feats, cfg: ModelConfig, stream: str):
+    """One channel's encoder: standardize, input projection, self blocks.
+
+    Returns the (B, T, model_dim) output and the cache _backward needs.
+    """
+    z = standardize(feats)
+    x = z @ params["in.W"] + params["in.b"]
+    key = _stream_key(cfg, stream)
+    caches = []
+    for layer in range(cfg.channel_layers):
+        x, cache = _self_block_fwd(x, params, f"ch.{key}.{layer}", cfg.heads)
+        caches.append(cache)
+    return x, (z, caches)
+
+
+def _fuse(params, xa, xb, cfg: ModelConfig, last_row: bool = False):
+    """Fusion stage over both channels' encodings: cross layers, final LN, heads.
 
     With last_row, the last cross layer, the final LN and the heads run on the
-    newest frame only, so the logits have one row per sequence; the self
-    blocks and earlier cross layers still run on every row because they feed
-    the other channel's keys and values. That cache is not valid for
-    _backward.
+    newest frame only, so the logits have one row per sequence; earlier cross
+    layers still run on every row because they feed the other channel's keys
+    and values. That cache is not valid for _backward.
     """
-    if feats_a.shape != feats_b.shape:
-        raise ShapeMismatchError(f"{feats_a.shape} vs {feats_b.shape}")
-    if feats_a.shape[1] > cfg.context_frames:
-        raise ShapeMismatchError(
-            f"sequence of {feats_a.shape[1]} frames exceeds context {cfg.context_frames}"
-        )
-    za = standardize(feats_a)
-    zb = standardize(feats_b)
-    xa = za @ params["in.W"] + params["in.b"]
-    xb = zb @ params["in.W"] + params["in.b"]
     sa, sb = "a", _stream_key(cfg, "b")
-    ch_caches = []
-    for layer in range(cfg.channel_layers):
-        xa, ca = _self_block_fwd(xa, params, f"ch.{sa}.{layer}", cfg.heads)
-        xb, cb = _self_block_fwd(xb, params, f"ch.{sb}.{layer}", cfg.heads)
-        ch_caches.append((ca, cb))
     cross_caches = []
     for layer in range(cfg.cross_layers):
         qa, qb = xa, xb
@@ -425,12 +435,23 @@ def _forward(params, feats_a, feats_b, cfg: ModelConfig, last_row: bool = False)
     vad_logits = np.stack(
         [ha @ w_vad[:, 0] + b_vad[0], hb @ w_vad[:, col_b] + b_vad[col_b]], axis=-1
     )
-    cache = (za, zb, ch_caches, cross_caches, lnf_a, lnf_b, ha, hb, fused)
-    return vap_logits, vad_logits, cache
+    return vap_logits, vad_logits, (cross_caches, lnf_a, lnf_b, ha, hb, fused)
+
+
+def _forward(params, feats_a, feats_b, cfg: ModelConfig):
+    """Batched forward pass; returns raw head logits plus the backprop cache."""
+    if feats_a.shape != feats_b.shape:
+        raise ShapeMismatchError(f"{feats_a.shape} vs {feats_b.shape}")
+    _check_context(feats_a.shape[1], cfg)
+    xa, enc_a = _encode(params, feats_a, cfg, "a")
+    xb, enc_b = _encode(params, feats_b, cfg, "b")
+    vap_logits, vad_logits, fuse_cache = _fuse(params, xa, xb, cfg)
+    return vap_logits, vad_logits, (enc_a, enc_b, fuse_cache)
 
 
 def _backward(params, cfg: ModelConfig, cache, dvap_logits, dvad_logits) -> dict:
-    za, zb, ch_caches, cross_caches, lnf_a, lnf_b, ha, hb, fused = cache
+    (za, ch_caches_a), (zb, ch_caches_b), fuse_cache = cache
+    cross_caches, lnf_a, lnf_b, ha, hb, fused = fuse_cache
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dfused = dvap_logits @ params["vap.W"].T
     grads["vap.W"] += _mat_grad(fused, dvap_logits)
@@ -457,7 +478,7 @@ def _backward(params, cfg: ModelConfig, cache, dvap_logits, dvad_logits) -> dict
         dxa = dself_a + dother_b
         dxb = dself_b + dother_a
     for layer in reversed(range(cfg.channel_layers)):
-        ca, cb = ch_caches[layer]
+        ca, cb = ch_caches_a[layer], ch_caches_b[layer]
         dxa = _self_block_bwd(dxa, ca, params, f"ch.{sa}.{layer}", cfg.heads, grads)
         dxb = _self_block_bwd(dxb, cb, params, f"ch.{sb}.{layer}", cfg.heads, grads)
     grads["in.W"] += _mat_grad(za, dxa) + _mat_grad(zb, dxb)
@@ -488,11 +509,25 @@ def forward(params: dict, batch: FrameBatch, cfg: ModelConfig) -> PredictionOutp
     return PredictionOutput(vap=_softmax(vap_logits[0]), vad=_sigmoid(vad_logits[0]))
 
 
-def forward_last(params: dict, feats_a, feats_b, cfg: ModelConfig) -> PredictionOutput:
-    """Newest-frame predictions for a (B, T, bands) batch of feature windows:
-    vap is (B, N_STATES), vad is (B, 2). Equals the last row of forward on
-    each window up to float rounding."""
-    vap_logits, vad_logits, _ = _forward(params, feats_a, feats_b, cfg, last_row=True)
+def encode_channel(params: dict, feats, cfg: ModelConfig, stream: str) -> np.ndarray:
+    """Encoder output (B, T, model_dim) of one channel ("a" user, "b" robot)
+    for a (B, T, bands) batch of feature windows."""
+    return _encode(params, feats, cfg, stream)[0]
+
+
+def forward_last(params: dict, feats_a, enc_b: np.ndarray, cfg: ModelConfig) -> PredictionOutput:
+    """Newest-frame predictions for a (B, T, bands) batch of user feature
+    windows: vap is (B, N_STATES), vad is (B, 2). The robot channel comes as
+    its encode_channel output enc_b, (B, T, model_dim), or (1, T, model_dim)
+    shared by every window. Equals the last row of forward on each window
+    pair up to float rounding."""
+    batch, frames = feats_a.shape[:2]
+    if enc_b.shape[0] not in (1, batch) or enc_b.shape[1] != frames:
+        raise ShapeMismatchError(f"user features {feats_a.shape} vs robot encoding {enc_b.shape}")
+    _check_context(frames, cfg)
+    xa, _ = _encode(params, feats_a, cfg, "a")
+    xb = np.broadcast_to(enc_b, xa.shape)
+    vap_logits, vad_logits, _ = _fuse(params, xa, xb, cfg, last_row=True)
     return PredictionOutput(vap=_softmax(vap_logits[:, -1]), vad=_sigmoid(vad_logits[:, -1]))
 
 

@@ -5,10 +5,20 @@ streaming output equal an offline pass over the same window by construction
 and keeps results invariant to how the audio was chunked. Only the newest
 row's prediction is used, so the last cross layer and the heads run on that
 row alone. replay computes the same ticks for a whole recording in batches.
+
+The deployed engine hears the user with the robot channel zeroed. When every
+sample of the robot's 5 s window is a digital zero (the last context_frames
+hops of a stream; a whole robot recording for replay), the robot's features
+and self blocks would give the same output every time, so both reuse one
+stored encoding of the silent window instead. The features of an all-zero
+window are exactly the silent ones, so this is exact: the tick is
+bit-identical to computing the robot side in full, and replay stays within
+float rounding of run_stream.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -22,7 +32,7 @@ from .features import HOP_SAMPLES, WINDOW_SAMPLES, _frame_features, extract_feat
 
 # forward is not called here; it stays importable as vapturn.streaming.forward,
 # a name perfbench's traced run wraps
-from .model import ModelConfig, forward, forward_last  # noqa: F401
+from .model import ModelConfig, encode_channel, forward, forward_last  # noqa: F401
 
 TICK_PERIOD_S = 0.1
 _PAD_FRAMES = WINDOW_SAMPLES // HOP_SAMPLES - 1
@@ -101,6 +111,21 @@ def _frame_result(clock, p_user, p_robot, vad_row, entropy, compute_ms) -> Frame
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _silent_features(n_samples: int) -> np.ndarray:
+    """Features of n_samples of digital zeros, computed once per length and
+    read-only, since every caller shares the array."""
+    feats = extract_features(np.zeros(n_samples))
+    feats.flags.writeable = False
+    return feats
+
+
+def _silent_robot_encoding(params: dict, cfg: ModelConfig) -> np.ndarray:
+    """Robot encoding (1, context_frames, model_dim) of a context window of
+    digital zeros: what every all-zero robot window encodes to."""
+    return encode_channel(params, _silent_features(cfg.context_samples)[None], cfg, "b")
+
+
 class StreamContext:
     """Single-dialogue streaming state: rolling audio window plus a tick clock.
 
@@ -114,7 +139,10 @@ class StreamContext:
         self.capacity = cfg.context_frames * HOP_SAMPLES
         # the window starts as silence, so its cached features start as the
         # features of silence and the first tick reuses them like any other
-        self._silent_feats = extract_features(np.zeros(self.capacity))
+        self._silent_feats = _silent_features(self.capacity)
+        # robot encoding of the silent window, and the params it was made with
+        self._silent_enc = None
+        self._silent_enc_params = None
         self.reset()
 
     @property
@@ -176,6 +204,14 @@ class StreamContext:
         tail = _frame_features(window[None, -WINDOW_SAMPLES:])
         return np.concatenate([head, cached[_PAD_FRAMES + 1 :], tail])
 
+    def _cached_silent_encoding(self) -> np.ndarray:
+        """_silent_robot_encoding, made again when self.params is rebound to
+        another object (not when its arrays change in place)."""
+        if self._silent_enc_params is not self.params:
+            self._silent_enc = _silent_robot_encoding(self.params, self.cfg)
+            self._silent_enc_params = self.params
+        return self._silent_enc
+
     def tick(self) -> FrameResult | None:
         """Consume 100 ms of queued audio and emit one prediction, or None if
         less than a hop of audio is pending."""
@@ -186,13 +222,22 @@ class StreamContext:
         t0 = time.perf_counter()
         hop = self._take_hop()
         self._window_a = np.concatenate([self._window_a[HOP_SAMPLES:], hop[0]])
-        self._window_b = np.concatenate([self._window_b[HOP_SAMPLES:], hop[1]])
+        self._silent_hops = 0 if hop[1].any() else self._silent_hops + 1
         self.clock += 1
         feats_a = self._window_features(self._window_a, self._feat_a)
-        feats_b = self._window_features(self._window_b, self._feat_b)
         self._feat_a = feats_a
-        self._feat_b = feats_b
-        out = forward_last(self.params, feats_a[None], feats_b[None], self.cfg)
+        if self._silent_hops >= self.cfg.context_frames:
+            # every sample of the robot window is zero, so its encoding is the
+            # stored one, exactly. The robot window and features stay those of
+            # the last tick before the silence reached context_frames hops: all
+            # of that window but its oldest hop is zero, and the next roll
+            # drops that hop, so they are exact again when the robot speaks
+            enc_b = self._cached_silent_encoding()
+        else:
+            self._window_b = np.concatenate([self._window_b[HOP_SAMPLES:], hop[1]])
+            self._feat_b = self._window_features(self._window_b, self._feat_b)
+            enc_b = encode_channel(self.params, self._feat_b[None], self.cfg, "b")
+        out = forward_last(self.params, feats_a[None], enc_b, self.cfg)
         p_user, p_robot = p_now_pair(out.vap[0])
         entropy = entropy_nats(out.vap[0])
         compute_ms = (time.perf_counter() - t0) * 1000.0
@@ -210,6 +255,8 @@ class StreamContext:
         self._window_b = np.zeros(self.capacity)
         self._feat_a = self._silent_feats
         self._feat_b = self._silent_feats
+        # consecutive all-zero robot hops; the fresh window counts as all zero
+        self._silent_hops = self.cfg.context_frames
         # queued audio of both channels is _pending[:, _start:_end]
         self._pending = np.empty((2, 2 * HOP_SAMPLES))
         self._start = 0
@@ -247,7 +294,9 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None) -> list[FrameResul
     log-mel rows that no window's zero padding touches are computed once for
     the whole recording; each window's padded head rows are recomputed as the
     tick does, and the windows run through the newest-row forward in blocks of
-    REPLAY_BLOCK. compute_ms of every result in a block is the block's wall
+    REPLAY_BLOCK. When wav_b is None or all zeros, every window's robot
+    channel is the silent one, so its encoding is computed once and shared by
+    all windows. compute_ms of every result in a block is the block's wall
     time divided by the windows in it; the one shared feature pass over the
     recording is not in it.
     """
@@ -262,20 +311,24 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None) -> list[FrameResul
     if n_ticks == 0:
         return []
     ctx = cfg.context_frames
-    # window k (1-based tick) is padded[:, k * HOP : (k + ctx) * HOP]: the
-    # stream's zero-filled context, then the audio up to the tick
-    padded = np.zeros((2, (ctx + n_ticks) * HOP_SAMPLES))
-    padded[0, ctx * HOP_SAMPLES :] = a[: n_ticks * HOP_SAMPLES]
-    padded[1, ctx * HOP_SAMPLES :] = b[: n_ticks * HOP_SAMPLES]
-    body = [_body_features(channel) for channel in padded] if ctx > _PAD_FRAMES else [None, None]
+    # window k (1-based tick) is padded[c][k * HOP : (k + ctx) * HOP]: the
+    # stream's zero-filled context, then the audio up to the tick. A robot
+    # channel of zeros has the silent window's encoding in every window
+    silent_b = not b.any()
+    channels = [a] if silent_b else [a, b]
+    padded = np.zeros((len(channels), (ctx + n_ticks) * HOP_SAMPLES))
+    padded[:, ctx * HOP_SAMPLES :] = [c[: n_ticks * HOP_SAMPLES] for c in channels]
+    body = [_body_features(p) if ctx > _PAD_FRAMES else None for p in padded]
+    if silent_b:
+        enc_b = _silent_robot_encoding(params, cfg)
     results = []
     for first in range(1, n_ticks + 1, REPLAY_BLOCK):
         t0 = time.perf_counter()
         n = min(REPLAY_BLOCK, n_ticks + 1 - first)
-        feats_a, feats_b = (
-            _block_features(padded[c], body[c], first, n, ctx) for c in range(2)
-        )
-        out = forward_last(params, feats_a, feats_b, cfg)
+        feats = [_block_features(p, f, first, n, ctx) for p, f in zip(padded, body)]
+        if not silent_b:
+            enc_b = encode_channel(params, feats[1], cfg, "b")
+        out = forward_last(params, feats[0], enc_b, cfg)
         rows = [(*p_now_pair(vap), entropy_nats(vap)) for vap in out.vap]
         compute_ms = (time.perf_counter() - t0) * 1000.0 / n
         for i, (p_user, p_robot, entropy) in enumerate(rows):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ class TrainingDivergedError(RuntimeError):
 
 class EmptyDatasetError(ValueError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A file that is not a checkpoint this version can load, or whose tensors
+    disagree with its own stored config."""
 
 
 @dataclass(frozen=True)
@@ -388,14 +394,38 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, ModelConfig]:
-    with np.load(path) as z:
-        if "__meta__" not in z:
-            raise ValueError(f"{path}: not a model checkpoint")
-        meta = json.loads(str(z["__meta__"].item()))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        params = {k: z[k] for k in z.files if k != "__meta__"}
-    return params, ModelConfig.from_json_dict(meta["config"])
+    """Parameters and config stored by save_checkpoint.
+
+    Raises CheckpointError unless the file exists and holds a supported
+    checkpoint whose tensor names and shapes are exactly those init_params
+    builds for its config.
+    """
+    try:
+        with np.load(path) as z:
+            params = {k: z[k] for k in z.files}
+        meta = json.loads(str(params.pop("__meta__").item()))
+    except (OSError, EOFError, zipfile.BadZipFile, ValueError, TypeError, KeyError) as exc:
+        # a missing, truncated or non-npz file, no __meta__, or meta not JSON
+        raise CheckpointError(f"{path}: not a model checkpoint ({exc!r})") from exc
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        cfg = ModelConfig.from_json_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid model config: {exc}") from exc
+    expected = {k: v.shape for k, v in init_params(cfg).items()}
+    problems = []
+    if missing := sorted(expected.keys() - params.keys()):
+        problems.append(f"missing tensors {missing}")
+    if extra := sorted(params.keys() - expected.keys()):
+        problems.append(f"unexpected tensors {extra}")
+    for k in sorted(expected.keys() & params.keys()):
+        if params[k].shape != expected[k]:
+            problems.append(f"{k} has shape {params[k].shape}, config needs {expected[k]}")
+    if problems:
+        raise CheckpointError(f"{path}: tensors disagree with the stored config: " + "; ".join(problems))
+    return params, cfg
 
 
 def write_history_csv(path, history) -> None:

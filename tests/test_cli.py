@@ -7,7 +7,8 @@ import pytest
 
 from vapturn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from vapturn.audio import load_wav
-from vapturn.training import read_history_csv
+from vapturn.model import ModelConfig, init_params
+from vapturn.training import read_history_csv, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,19 @@ class TestTrain:
         ]) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [({"feature_bands": 20}, []), ({}, ["--model-dim", "33", "--heads", "2"])],
+    )
+    def test_invalid_model_config_is_config_error(self, workspace, tmp_path, config, flags):
+        cfg_path = tmp_path / "model.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, **config}))
+        assert main([
+            "train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m"),
+            "--config", str(cfg_path), "--quiet", *flags,
+        ]) == EXIT_CONFIG
+
+
 class TestEval:
     def test_eval_csv_layout(self, workspace, tmp_path):
         out = tmp_path / "eval"
@@ -212,6 +226,21 @@ class TestStream:
         assert abs(row["p_now_user"] + row["p_now_robot"] - 1.0) <= 1e-6
         assert (tmp_path / "frames.jsonl.config.json").exists()
 
+    def test_checkpoint_disagreeing_with_its_config_is_config_error(self, workspace, tmp_path):
+        # model_dim=16 tensors stored under the default model_dim=32 config
+        ckpt = tmp_path / "mismatch.npz"
+        save_checkpoint(ckpt, init_params(ModelConfig(model_dim=16, heads=2)), ModelConfig())
+        wav = next(workspace["data"].glob("*_user.wav"))
+        assert main(["stream", "--checkpoint", str(ckpt), "--wav", str(wav)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["text", "absent"])
+    def test_unreadable_checkpoint_is_config_error(self, workspace, tmp_path, kind):
+        ckpt = tmp_path / "model.npz"
+        if kind == "text":
+            ckpt.write_text("not a checkpoint\n")
+        wav = next(workspace["data"].glob("*_user.wav"))
+        assert main(["stream", "--checkpoint", str(ckpt), "--wav", str(wav)]) == EXIT_CONFIG
+
     def test_missing_wav_config_error(self, workspace):
         assert main([
             "stream", "--checkpoint", str(workspace["run"] / "checkpoint.npz"),
@@ -224,6 +253,9 @@ class TestBench:
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert report["ticks"] == 20
         assert report["mean_ms"] > 0
+        assert report["nproc"] >= 1
+        assert set(report["blas"]) == {"name", "version"}
+        assert isinstance(report["blas_threads"], dict)
 
     def test_budget_enforcement(self, capsys):
         assert main(["bench", "--seconds", "1", "--budget-ms", "0.0001"]) == EXIT_RUNTIME

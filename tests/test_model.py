@@ -10,6 +10,7 @@ from vapturn.model import (
     ShapeMismatchError,
     _attn_fwd,
     forward,
+    encode_channel,
     forward_last,
     init_params,
     loss,
@@ -44,6 +45,11 @@ class TestConfig:
     def test_dim_must_divide_heads(self):
         with pytest.raises(ValueError):
             ModelConfig(model_dim=33, heads=2)
+
+    @pytest.mark.parametrize("bands", [20, 39, 41])
+    def test_feature_bands_must_match_frontend(self, bands):
+        with pytest.raises(ValueError, match="feature_bands"):
+            ModelConfig(feature_bands=bands)
 
     def test_context_covers_five_seconds(self):
         cfg = ModelConfig()
@@ -154,13 +160,31 @@ class TestLastRow:
         last = forward_last(
             p,
             np.stack([b.features_a for b in batches]),
-            np.stack([b.features_b for b in batches]),
+            encode_channel(p, np.stack([b.features_b for b in batches]), cfg, "b"),
             cfg,
         )
         for i, batch in enumerate(batches):
             full = forward(p, batch, cfg)
             assert np.max(np.abs(last.vap[i] - full.vap[-1])) <= 1e-12
             assert np.max(np.abs(last.vad[i] - full.vad[-1])) <= 1e-12
+
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_shared_robot_encoding_broadcasts(self, tie):
+        cfg = ModelConfig(cross_layers=2, tie_channels=tie)
+        p = init_params(cfg, seed=5)
+        rng = np.random.default_rng(10)
+        fa = rng.standard_normal((3, 12, cfg.feature_bands))
+        fb = rng.standard_normal((1, 12, cfg.feature_bands))
+        # one (1, T, model_dim) encoding shared by every window of the batch
+        shared = forward_last(p, fa, encode_channel(p, fb, cfg, "b"), cfg)
+        for i in range(3):
+            full = forward(p, FrameBatch(fa[i], fb[0]), cfg)
+            assert np.max(np.abs(shared.vap[i] - full.vap[-1])) <= 1e-12
+            assert np.max(np.abs(shared.vad[i] - full.vad[-1])) <= 1e-12
+        with pytest.raises(ShapeMismatchError):
+            forward_last(p, fa, encode_channel(p, fb[:, 1:], cfg, "b"), cfg)
+        with pytest.raises(ShapeMismatchError):
+            forward_last(p, fa, encode_channel(p, np.repeat(fb, 2, axis=0), cfg, "b"), cfg)
 
 
 class TestLoss:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from vapturn import streaming
 from vapturn.codebook import p_now_pair
 from vapturn.features import HOP_SAMPLES, extract_features
 from vapturn.model import FrameBatch, ModelConfig, forward, init_params
@@ -213,6 +214,136 @@ class TestChunkingExtremes:
         assert [_fields(r) for r in ones] == [_fields(r) for r in base]
 
 
+def _burst_robot(n_samples, bursts, seed):
+    """Robot channel of digital zeros except noise over each (start_s, seconds)."""
+    robot = np.zeros(n_samples)
+    for i, (start_s, seconds) in enumerate(bursts):
+        lo, hi = int(start_s * 16000), int((start_s + seconds) * 16000)
+        robot[lo:hi] = _audio(seconds, seed=seed + i)[: hi - lo]
+    return robot
+
+
+def _trained_like_params(cfg, seed):
+    """init_params with every tensor perturbed. At init all biases are zero,
+    which makes the encoding of a silent window zero whatever the weights."""
+    rng = np.random.default_rng(seed)
+    return {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in init_params(cfg, seed).items()}
+
+
+@pytest.fixture(scope="module")
+def burst_stream(cfg):
+    """Params, user audio and a robot channel that is silent, has a 0.3 s
+    burst, is silent for 5.7 s and has another burst, so a stream leaves the
+    silent-robot path, enters it again 5 s after the first burst and leaves it
+    again; with the fields of its 100 ms-chunk ticks."""
+    params = _trained_like_params(cfg, seed=17)
+    audio = _audio(8.0, seed=18)
+    robot = _burst_robot(audio.size, [(1.0, 0.3), (7.0, 0.2)], seed=19)
+    ticks = run_stream(params, cfg, audio, robot, chunk_samples=1600)
+    assert len(ticks) == 80
+    return params, audio, robot, [_fields(r) for r in ticks]
+
+
+class TestChunkingProperty:
+    @settings(max_examples=12, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=30))
+    @example(sizes=[0, 1, 1599, 0, 3201])
+    @example(sizes=[120000])
+    def test_any_chunk_sequence_bit_exact(self, cfg, burst_stream, sizes):
+        assume(any(sizes))
+        params, audio, robot, base = burst_stream
+        ctx = StreamContext(params, cfg)
+        results, pos, i = [], 0, 0
+        while pos < audio.size:
+            stop = pos + sizes[i % len(sizes)]
+            ctx.push_audio(audio[pos:stop], robot[pos:stop])
+            results.extend(ctx.tick_all())
+            pos, i = min(stop, audio.size), i + 1
+        assert [_fields(r) for r in results] == base
+
+
+def _count_encodes(monkeypatch) -> list:
+    """Record each encoding of the silent robot window the streaming module makes."""
+    calls = []
+    silent_encoding = streaming._silent_robot_encoding
+    monkeypatch.setattr(
+        streaming, "_silent_robot_encoding", lambda *a: calls.append(a) or silent_encoding(*a)
+    )
+    return calls
+
+
+SILENT_CONFIGS = {
+    "default": ModelConfig(),
+    "tied": ModelConfig(tie_channels=True),
+    "cross2": ModelConfig(cross_layers=2),
+    "context4": ModelConfig(context_frames=4),
+}
+
+
+class TestSilentRobot:
+    """A robot window of digital zeros reuses one stored encoding."""
+
+    @pytest.mark.parametrize("name", sorted(SILENT_CONFIGS))
+    def test_ticks_equal_forward_on_silent_features(self, name, monkeypatch):
+        cfg = SILENT_CONFIGS[name]
+        params = _trained_like_params(cfg, seed=4)
+        audio = _audio(7.0, seed=20)
+        robot = _burst_robot(audio.size, [(0.5, 0.2), (6.2, 0.2)], seed=21)
+        # samples of 1e-200 are not zeros, so these windows take the full
+        # path, yet their power underflows: the features are the silent ones
+        faint = np.where(robot == 0.0, 1e-200, robot)
+        cap = cfg.context_samples
+        assert np.array_equal(extract_features(np.full(cap, 1e-200)), extract_features(np.zeros(cap)))
+        full = run_stream(params, cfg, audio, faint)
+        encodes = _count_encodes(monkeypatch)
+        silent = run_stream(params, cfg, audio, robot)
+        assert len(encodes) == 1
+        assert [_fields(r) for r in silent] == [_fields(r) for r in full]
+
+    def test_rebinding_params_gives_new_params_ticks(self, monkeypatch):
+        cfg = ModelConfig()
+        p1, p2 = _trained_like_params(cfg, seed=5), _trained_like_params(cfg, seed=6)
+        audio = _audio(4.0, seed=22)
+        encodes = _count_encodes(monkeypatch)
+        ctx = StreamContext(p1, cfg)
+        ctx.push_audio(audio[:1600])
+        before = [ctx.tick()]
+        assert len(encodes) == 1  # the fresh window is silent from the first tick
+        ctx.push_audio(audio[1600:32000])
+        before += ctx.tick_all()
+        ctx.params = p2
+        ctx.push_audio(audio[32000:])
+        after = ctx.tick_all()
+        assert len(encodes) == 2
+        fresh = run_stream(p2, cfg, audio)
+        assert [_fields(r) for r in after] == [_fields(r) for r in fresh[len(before) :]]
+        assert _fields(before[-1]) != _fields(fresh[len(before) - 1])
+
+    @pytest.mark.parametrize("robot", ["none", "zeros"])
+    @pytest.mark.parametrize("name", sorted(SILENT_CONFIGS))
+    def test_replay_silent_robot_matches_full_stream(self, name, robot):
+        cfg = SILENT_CONFIGS[name]
+        params = _trained_like_params(cfg, seed=7)
+        audio = _audio(6.0, seed=25)
+        # a faint robot takes run_stream's full path with the silent features
+        full = run_stream(params, cfg, audio, np.full(audio.size, 1e-200))
+        replayed = replay(params, cfg, audio, None if robot == "none" else np.zeros(audio.size))
+        assert len(replayed) == len(full) == 60
+        for r, s in zip(replayed, full):
+            assert r.frame_index == s.frame_index
+            for field in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
+                assert abs(getattr(r, field) - getattr(s, field)) <= 1e-9, field
+
+    def test_replay_encodes_silent_robot_once(self, params, cfg, monkeypatch):
+        audio = _audio(4.0, seed=23)
+        encodes = _count_encodes(monkeypatch)
+        for robot in (None, np.zeros_like(audio)):
+            replay(params, cfg, audio, robot)
+        assert len(encodes) == 2
+        replay(params, cfg, audio, _burst_robot(audio.size, [(1.0, 0.1)], seed=24))
+        assert len(encodes) == 2
+
+
 class TestNonFiniteAudio:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_push_rejects_and_leaves_queue_and_clock(self, params, cfg, bad):
@@ -254,13 +385,14 @@ class TestReplay:
         cfg=st.sampled_from(REPLAY_CONFIGS),
         whole_hops=st.sampled_from(["none", "context-1", "context", "context+1"]),
         extra=st.integers(0, HOP_SAMPLES - 1),
-        robot=st.booleans(),
+        robot=st.sampled_from(["none", "zeros", "noise"]),
         seed=st.integers(0, 1000),
     )
-    @example(cfg=DEFAULT_CFG, whole_hops="none", extra=0, robot=False, seed=0)
-    @example(cfg=DEFAULT_CFG, whole_hops="none", extra=1234, robot=True, seed=1)
-    @example(cfg=DEFAULT_CFG, whole_hops="context-1", extra=0, robot=True, seed=2)
-    @example(cfg=DEFAULT_CFG, whole_hops="context+1", extra=777, robot=False, seed=3)
+    @example(cfg=DEFAULT_CFG, whole_hops="none", extra=0, robot="none", seed=0)
+    @example(cfg=DEFAULT_CFG, whole_hops="none", extra=1234, robot="noise", seed=1)
+    @example(cfg=DEFAULT_CFG, whole_hops="context-1", extra=0, robot="noise", seed=2)
+    @example(cfg=DEFAULT_CFG, whole_hops="context+1", extra=777, robot="none", seed=3)
+    @example(cfg=DEFAULT_CFG, whole_hops="context+1", extra=5, robot="zeros", seed=4)
     def test_replay_matches_run_stream(self, cfg, whole_hops, extra, robot, seed):
         ctx = cfg.context_frames
         n_hops = {"none": 0, "context-1": ctx - 1, "context": ctx, "context+1": ctx + 1}[whole_hops]
@@ -268,7 +400,11 @@ class TestReplay:
         params = init_params(cfg, seed=2)
         rng = np.random.default_rng(seed)
         audio_a = np.clip(0.3 * rng.standard_normal(n), -1, 1)
-        audio_b = np.clip(0.3 * rng.standard_normal(n), -1, 1) if robot else None
+        audio_b = {
+            "none": None,
+            "zeros": np.zeros(n),
+            "noise": np.clip(0.3 * rng.standard_normal(n), -1, 1),
+        }[robot]
         streamed = run_stream(params, cfg, audio_a, audio_b)
         replayed = replay(params, cfg, audio_a, audio_b)
         assert len(replayed) == len(streamed) == n_hops

@@ -10,6 +10,7 @@ from vapturn.simulate import DialogueScript, generate_scripted_dialogue, session
 from vapturn.stats import SampleDist
 from vapturn.training import (
     AugmentConfig,
+    CheckpointError,
     EmptyDatasetError,
     TrainingDivergedError,
     dialogue_frames,
@@ -207,6 +208,40 @@ class TestCheckpointIO:
         np.savez(path, a=np.zeros(3))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", ["text", "empty", "npy", "bad_meta", "list_meta", "absent"])
+    def test_unreadable_file_is_checkpoint_error(self, tmp_path, content):
+        path = tmp_path / "ckpt.npz"
+        if content == "text":
+            path.write_text("not a checkpoint\n")
+        elif content == "empty":
+            path.write_bytes(b"")
+        elif content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif content in ("bad_meta", "list_meta"):
+            meta = "{not json" if content == "bad_meta" else "[1, 2]"
+            np.savez(path, __meta__=np.array(meta), a=np.zeros(3))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault", ["missing", "extra", "shape", "other_dim"])
+    def test_rejects_tensors_that_disagree_with_config(self, tmp_path, fault):
+        cfg = ModelConfig(model_dim=16, heads=2)
+        params = init_params(cfg, seed=7)
+        if fault == "missing":
+            del params["vad.b"]
+        elif fault == "extra":
+            params["x.c.0.attn.Wq"] = np.zeros((16, 16))
+        elif fault == "shape":
+            params["in.W"] = params["in.W"][:, :8]
+        else:  # a whole model_dim=32 tensor set stored under a model_dim=16 config
+            params = init_params(ModelConfig(model_dim=32, heads=2), seed=7)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, params, cfg)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert issubclass(CheckpointError, ValueError)
 
     def test_history_csv_roundtrip(self, tmp_path):
         history = [

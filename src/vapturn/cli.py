@@ -4,6 +4,11 @@ Every command is deterministic for a fixed config and seed; commands that
 write to an output directory also write their resolved configuration there as
 config.json. Exit codes: 0 success, 2 configuration/usage error, 1 runtime
 failure.
+
+Each command declares its options once, in one table: a key, its default and
+its type. The key is both the config-file key and, with dashes for
+underscores, the command-line flag; flags override config-file keys, which
+override defaults.
 """
 
 from __future__ import annotations
@@ -17,13 +22,15 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .audio import load_wav
+from .audio import SAMPLE_RATE, load_wav
 from .endpointing import SttSimConfig, VapEndpointerConfig
+from .features import HOP_SAMPLES
 from .model import ModelConfig, init_params
-from .noise import NoiseBank, synthetic_noise_bank
+from .noise import DatasetSplitError, NoiseBank, synthetic_noise_bank, write_conditions_jsonl
 from .simulate import (
     POLICY_HYBRID,
     POLICY_STT,
@@ -48,7 +55,6 @@ from .training import (
     write_history_csv,
 )
 from .datasets import load_dataset, write_dataset
-from .noise import write_conditions_jsonl
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -57,6 +63,49 @@ EXIT_CONFIG = 2
 
 class CliConfigError(ValueError):
     pass
+
+
+class Opt(NamedTuple):
+    """One option of a command. A bool option is a store_true flag; an
+    append option collects a list of kind from a repeatable flag (a config
+    file may give one value or a list)."""
+
+    default: object = None
+    kind: type = str
+    choices: tuple = ()
+    append: bool = False
+    required: bool = False
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _typed(key: str, opt: Opt, value):
+    """A config-file value checked against its option: exactly the option's
+    kind (an int is accepted for a float), None only where the default is."""
+    if value is None and opt.default is None:
+        return None
+    if opt.append:
+        values = value if isinstance(value, list) else [value]
+        return [_typed(key, opt._replace(append=False), v) for v in values]
+    if opt.kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not opt.kind:
+        raise CliConfigError(f"config key {key!r} must be {opt.kind.__name__}, got {value!r}")
+    if opt.choices and value not in opt.choices:
+        raise CliConfigError(f"config key {key!r} must be one of {opt.choices}, got {value!r}")
+    return value
+
+
+def _config(build, *args, **kwargs):
+    """Build a config object from resolved settings. The ValueError it raises
+    for a bad value, or the TypeError for an unknown key in a config-file
+    block, is a configuration error."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise CliConfigError(str(exc)) from exc
 
 
 def _dump_json(obj, path) -> None:
@@ -81,75 +130,80 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    """Flag > config file > default, per key."""
+def _resolve(args, file_cfg: dict, options: dict) -> dict:
+    """Flag > config file > default, per key. A config-file value is checked
+    even where a flag overrides it."""
     out = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_cfg:
-            out[key] = file_cfg[key]
-        else:
-            out[key] = default
+    for key, opt in options.items():
+        out[key] = _typed(key, opt, file_cfg[key]) if key in file_cfg else opt.default
+        if getattr(args, key) is not None:
+            out[key] = getattr(args, key)
+        if opt.required and not out[key]:
+            raise CliConfigError(f"{args.command} requires {_flag(key)}")
     return out
 
 
 def _script_from(resolved: dict, file_cfg: dict) -> DialogueScript:
     script = DialogueScript()
     if "script" in file_cfg:
-        script = DialogueScript.from_json_dict({**script.to_json_dict(), **file_cfg["script"]})
-    if resolved.get("turns") is not None:
-        script = replace(script, n_turns=int(resolved["turns"]))
+        script = _config(
+            DialogueScript.from_json_dict, {**script.to_json_dict(), **file_cfg["script"]}
+        )
+    if resolved["turns"] is not None:
+        script = _config(replace, script, n_turns=resolved["turns"])
     return script
 
 
 def _parse_snr_tokens(text: str) -> tuple:
     out = []
-    for token in str(text).split(","):
+    for token in text.split(","):
         token = token.strip().lower()
         if not token:
             continue
-        out.append(math.inf if token == "clean" else float(token))
+        try:
+            out.append(math.inf if token == "clean" else float(token))
+        except ValueError as exc:
+            raise CliConfigError(f"SNR list {text!r}: {token!r} is not a number or 'clean'") from exc
     if not out:
         raise CliConfigError("empty SNR list")
     return tuple(out)
 
 
 def _noise_bank(resolved: dict) -> NoiseBank:
-    if resolved.get("noise_dir"):
+    if resolved["noise_dir"]:
         return NoiseBank.from_dir(resolved["noise_dir"])
-    return synthetic_noise_bank(seed=int(resolved.get("noise_seed", 0)))
+    return synthetic_noise_bank(seed=resolved["noise_seed"])
+
+
+_MODEL = ModelConfig()
+MODEL_OPTIONS = {
+    key: Opt(getattr(_MODEL, key), int)
+    for key in ("feature_bands", "model_dim", "channel_layers", "cross_layers", "heads")
+}
+NOISE_OPTIONS = {"noise_dir": Opt(), "noise_seed": Opt(0, int)}
 
 
 def _model_config(resolved: dict) -> ModelConfig:
-    try:
-        return ModelConfig(
-            feature_bands=int(resolved["feature_bands"]),
-            model_dim=int(resolved["model_dim"]),
-            channel_layers=int(resolved["channel_layers"]),
-            cross_layers=int(resolved["cross_layers"]),
-            heads=int(resolved["heads"]),
-            seed=int(resolved["seed"]),
-        )
-    except ValueError as exc:
-        raise CliConfigError(f"model config: {exc}") from exc
+    return _config(
+        ModelConfig, seed=resolved["seed"], **{key: resolved[key] for key in MODEL_OPTIONS}
+    )
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-SYNTH_DEFAULTS = {"out": None, "n": 60, "seed": 0, "turns": None}
+SYNTH_OPTIONS = {
+    "out": Opt(required=True),
+    "n": Opt(60, int),
+    "seed": Opt(0, int),
+    "turns": Opt(None, int),
+}
 
 
-def cmd_synth_data(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, SYNTH_DEFAULTS)
-    if not resolved["out"]:
-        raise CliConfigError("synth-data requires --out")
+def cmd_synth_data(resolved: dict, file_cfg: dict) -> int:
     script = _script_from(resolved, file_cfg)
     out = Path(resolved["out"])
-    manifest = write_dataset(out, int(resolved["n"]), script, int(resolved["seed"]))
+    manifest = write_dataset(out, resolved["n"], script, resolved["seed"])
     _dump_json(
         {**resolved, "turns": script.n_turns, "script": script.to_json_dict()},
         out / "config.json",
@@ -159,44 +213,34 @@ def cmd_synth_data(args) -> int:
     return EXIT_OK
 
 
-TRAIN_DEFAULTS = {
-    "data": None,
-    "out": None,
-    "mode": "mc",
-    "epochs": 50,
-    "lr": 0.3,
-    "lr_decay": 0.0,
-    "batch_size": 32,
-    "window_stride": 25,
-    "seed": 0,
-    "train_snrs": "clean,5,10,15,20",
-    "zero_robot_prob": 0.5,
-    "noise_dir": None,
-    "noise_seed": 0,
-    "feature_bands": 40,
-    "model_dim": 32,
-    "channel_layers": 1,
-    "cross_layers": 1,
-    "heads": 2,
-    "quiet": False,
+_AUGMENT = AugmentConfig()
+TRAIN_OPTIONS = {
+    "data": Opt(required=True),
+    "out": Opt(required=True),
+    "mode": Opt(_AUGMENT.mode, choices=("clean", "mc")),
+    "epochs": Opt(50, int),
+    "lr": Opt(0.3, float),
+    "lr_decay": Opt(0.0, float),
+    "batch_size": Opt(32, int),
+    "window_stride": Opt(25, int),
+    "seed": Opt(0, int),
+    "train_snrs": Opt("clean,5,10,15,20"),
+    "zero_robot_prob": Opt(_AUGMENT.zero_robot_prob, float),
+    **NOISE_OPTIONS,
+    **MODEL_OPTIONS,
+    "quiet": Opt(False, bool),
 }
 
 
-def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, TRAIN_DEFAULTS)
-    for key in ("data", "out"):
-        if not resolved[key]:
-            raise CliConfigError(f"train requires --{key}")
-    if resolved["mode"] not in ("clean", "mc"):
-        raise CliConfigError(f"--mode must be clean or mc, got {resolved['mode']}")
-    data = load_dataset(resolved["data"])
+def cmd_train(resolved: dict, file_cfg: dict) -> int:
     cfg = _model_config(resolved)
-    augment = AugmentConfig(
+    augment = _config(
+        AugmentConfig,
         mode=resolved["mode"],
         snr_set=_parse_snr_tokens(resolved["train_snrs"]),
-        zero_robot_prob=float(resolved["zero_robot_prob"]),
+        zero_robot_prob=resolved["zero_robot_prob"],
     )
+    data = load_dataset(resolved["data"])
     bank = _noise_bank(resolved) if resolved["mode"] == "mc" else None
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -205,14 +249,14 @@ def cmd_train(args) -> int:
         data["train"],
         data["valid"],
         cfg,
-        epochs=int(resolved["epochs"]),
-        lr=float(resolved["lr"]),
-        lr_decay=float(resolved["lr_decay"]),
-        batch_size=int(resolved["batch_size"]),
-        window_stride=int(resolved["window_stride"]),
+        epochs=resolved["epochs"],
+        lr=resolved["lr"],
+        lr_decay=resolved["lr_decay"],
+        batch_size=resolved["batch_size"],
+        window_stride=resolved["window_stride"],
         augment=augment,
         bank=bank,
-        seed=int(resolved["seed"]),
+        seed=resolved["seed"],
         log=log,
     )
     save_checkpoint(out / "checkpoint.npz", params, cfg)
@@ -226,41 +270,30 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-EVAL_DEFAULTS = {
-    "data": None,
-    "out": None,
-    "checkpoint": None,
-    "snrs": "clean,20,15,10,5",
-    "seed": 0,
-    "noise_dir": None,
-    "noise_seed": 0,
-    "split": "test",
+EVAL_OPTIONS = {
+    "data": Opt(required=True),
+    "out": Opt(required=True),
+    "checkpoint": Opt(append=True, required=True),
+    "snrs": Opt("clean,20,15,10,5"),
+    "seed": Opt(0, int),
+    **NOISE_OPTIONS,
+    "split": Opt("test", choices=("train", "valid", "test")),
 }
 
 
-def cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, EVAL_DEFAULTS)
-    for key in ("data", "out", "checkpoint"):
-        if not resolved[key]:
-            raise CliConfigError(f"eval requires --{key}")
-    ckpt_paths = (
-        resolved["checkpoint"]
-        if isinstance(resolved["checkpoint"], list)
-        else [resolved["checkpoint"]]
-    )
+def cmd_eval(resolved: dict, file_cfg: dict) -> int:
+    snr_list = _parse_snr_tokens(resolved["snrs"])
     data = load_dataset(resolved["data"])
     items = data[resolved["split"]]
-    snr_list = _parse_snr_tokens(resolved["snrs"])
     bank = _noise_bank(resolved)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
     columns = {}
     provenance = None
-    for path in ckpt_paths:
+    for path in resolved["checkpoint"]:
         params, cfg = load_checkpoint(path)
         table, prov = eval_per_snr(
-            params, items, cfg, bank, snr_list=snr_list, seed=int(resolved["seed"])
+            params, items, cfg, bank, snr_list=snr_list, seed=resolved["seed"]
         )
         columns[Path(path).stem + "_" + Path(path).parent.name] = table
         provenance = prov
@@ -272,60 +305,62 @@ def cmd_eval(args) -> int:
             label = "clean" if math.isinf(snr) else f"{snr:g}"
             writer.writerow([label] + [f"{columns[n][snr]:.6f}" for n in names])
     write_conditions_jsonl(provenance, out / "conditions.jsonl")
-    _dump_json({**resolved, "checkpoint": ckpt_paths}, out / "config.json")
+    _dump_json(resolved, out / "config.json")
     print(f"wrote {out / 'eval.csv'} ({len(snr_list)} SNR rows x {len(names)} models)")
     return EXIT_OK
 
 
-SIM_DEFAULTS = {
-    "out": None,
-    "checkpoint": None,
-    "policies": "stt,hybrid,vap",
-    "n_dialogues": 40,
-    "turns": None,
-    "seed": 7,
-    "theta": 0.6,
-    "consecutive_k": 3,
-    "min_user_speech_ms": 300.0,
-    "stt_silence_ms": 800.0,
-    "latency_family": "lognormal",
-    "latency_mean": 0.6,
-    "latency_std": 0.3,
-    "response_delay": 0.3,
+_VAP = VapEndpointerConfig()
+_STT = SttSimConfig()
+SIM_OPTIONS = {
+    "out": Opt(required=True),
+    "checkpoint": Opt(),
+    "policies": Opt("stt,hybrid,vap"),
+    "n_dialogues": Opt(40, int),
+    "turns": Opt(None, int),
+    "seed": Opt(7, int),
+    "theta": Opt(_VAP.theta, float),
+    "consecutive_k": Opt(_VAP.consecutive_k, int),
+    "min_user_speech_ms": Opt(_VAP.min_user_speech_ms, float),
+    "stt_silence_ms": Opt(_STT.silence_threshold_ms, float),
+    "latency_family": Opt(_STT.latency.family),
+    "latency_mean": Opt(_STT.latency.mean_s, float),
+    "latency_std": Opt(_STT.latency.std_s, float),
+    "response_delay": Opt(0.3, float),
 }
 
 
-def cmd_simulate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, SIM_DEFAULTS)
-    if not resolved["out"]:
-        raise CliConfigError("simulate requires --out")
-    policies = [p.strip() for p in str(resolved["policies"]).split(",") if p.strip()]
+def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
+    policies = [p.strip() for p in resolved["policies"].split(",") if p.strip()]
     for p in policies:
         if p not in (POLICY_STT, POLICY_HYBRID, POLICY_VAP):
             raise CliConfigError(f"unknown policy {p!r}")
+    if resolved["n_dialogues"] < 1:
+        raise CliConfigError(f"--n-dialogues must be >= 1, got {resolved['n_dialogues']}")
+    vap_cfg = _config(
+        VapEndpointerConfig,
+        theta=resolved["theta"],
+        consecutive_k=resolved["consecutive_k"],
+        min_user_speech_ms=resolved["min_user_speech_ms"],
+    )
+    latency = _config(
+        SampleDist,
+        family=resolved["latency_family"],
+        mean_s=resolved["latency_mean"],
+        std_s=resolved["latency_std"],
+    )
+    stt_cfg = _config(SttSimConfig, silence_threshold_ms=resolved["stt_silence_ms"], latency=latency)
+    script = _script_from(resolved, file_cfg)
+    if script.n_turns < 1:
+        raise CliConfigError("simulate needs dialogues of at least one turn")
     needs_model = any(p != POLICY_STT for p in policies)
     params = cfg = None
     if needs_model:
         if not resolved["checkpoint"]:
             raise CliConfigError("policies using the local detector require --checkpoint")
         params, cfg = load_checkpoint(resolved["checkpoint"])
-    vap_cfg = VapEndpointerConfig(
-        theta=float(resolved["theta"]),
-        consecutive_k=int(resolved["consecutive_k"]),
-        min_user_speech_ms=float(resolved["min_user_speech_ms"]),
-    )
-    stt_cfg = SttSimConfig(
-        silence_threshold_ms=float(resolved["stt_silence_ms"]),
-        latency=SampleDist(
-            family=resolved["latency_family"],
-            mean_s=float(resolved["latency_mean"]),
-            std_s=float(resolved["latency_std"]),
-        ),
-    )
-    script = _script_from(resolved, file_cfg)
-    seed = int(resolved["seed"])
-    scripts = session_scripts(int(resolved["n_dialogues"]), script, seed)
+    seed = resolved["seed"]
+    scripts = session_scripts(resolved["n_dialogues"], script, seed)
     dialogues = [generate_scripted_dialogue(s) for s in scripts]
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -346,7 +381,7 @@ def cmd_simulate(args) -> int:
                     model_cfg=cfg,
                     vap_cfg=vap_cfg,
                     stt_cfg=stt_cfg,
-                    response_delay_s=float(resolved["response_delay"]),
+                    response_delay_s=resolved["response_delay"],
                     seed=int(
                         np.random.SeedSequence(entropy=seed, spawn_key=(500 + i,)).generate_state(1)[0]
                     ),
@@ -405,26 +440,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-STREAM_DEFAULTS = {
-    "checkpoint": None,
-    "wav": None,
-    "robot_wav": None,
-    "out": "-",
-    "chunk_ms": 100.0,
-    "realtime": False,
+STREAM_OPTIONS = {
+    "checkpoint": Opt(required=True),
+    "wav": Opt(required=True),
+    "robot_wav": Opt(),
+    "out": Opt("-"),
+    "chunk_ms": Opt(100.0, float),
+    "realtime": Opt(False, bool),
 }
 
 
-def cmd_stream(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, STREAM_DEFAULTS)
-    for key in ("checkpoint", "wav"):
-        if not resolved[key]:
-            raise CliConfigError(f"stream requires --{key}")
+def cmd_stream(resolved: dict, file_cfg: dict) -> int:
+    chunk = int(SAMPLE_RATE / 1000 * resolved["chunk_ms"])
+    if chunk < 1:
+        raise CliConfigError(
+            f"--chunk-ms must cover one sample ({1000 / SAMPLE_RATE} ms), "
+            f"got {resolved['chunk_ms']}"
+        )
     params, cfg = load_checkpoint(resolved["checkpoint"])
     wav_a = load_wav(resolved["wav"])
     wav_b = load_wav(resolved["robot_wav"]) if resolved["robot_wav"] else None
-    chunk = max(1, int(float(resolved["chunk_ms"]) * 16))
     ctx = StreamContext(params, cfg)
     sink = sys.stdout if resolved["out"] == "-" else open(resolved["out"], "w")
     compute = []
@@ -475,19 +510,28 @@ def _machine_info() -> dict:
     }
 
 
-BENCH_DEFAULTS = {"checkpoint": None, "seconds": 20.0, "seed": 0, "budget_ms": None}
+BENCH_OPTIONS = {
+    "checkpoint": Opt(),
+    "seconds": Opt(20.0, float),
+    "seed": Opt(0, int),
+    "budget_ms": Opt(None, float),
+}
 
 
-def cmd_bench(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, BENCH_DEFAULTS)
+def cmd_bench(resolved: dict, file_cfg: dict) -> int:
+    n_samples = int(SAMPLE_RATE * resolved["seconds"])
+    if n_samples < HOP_SAMPLES:
+        raise CliConfigError(
+            f"--seconds must cover one {1000 * HOP_SAMPLES // SAMPLE_RATE} ms hop, "
+            f"got {resolved['seconds']}"
+        )
     if resolved["checkpoint"]:
         params, cfg = load_checkpoint(resolved["checkpoint"])
     else:
         cfg = ModelConfig()
-        params = init_params(cfg, seed=int(resolved["seed"]))
-    rng = np.random.default_rng(int(resolved["seed"]))
-    audio = 0.3 * rng.standard_normal(int(float(resolved["seconds"]) * 16000))
+        params = init_params(cfg, seed=resolved["seed"])
+    rng = np.random.default_rng(resolved["seed"])
+    audio = 0.3 * rng.standard_normal(n_samples)
     results = run_stream(params, cfg, np.clip(audio, -1, 1))
     ms = np.array([r.compute_ms for r in results])
     report = {
@@ -500,7 +544,7 @@ def cmd_bench(args) -> int:
     }
     print(json.dumps(report, sort_keys=True))
     budget = resolved["budget_ms"]
-    if budget is not None and report["mean_ms"] > float(budget):
+    if budget is not None and report["mean_ms"] > budget:
         print(f"mean tick {report['mean_ms']:.2f} ms exceeds budget {budget} ms", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -508,6 +552,15 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+COMMANDS = {
+    "synth-data": (cmd_synth_data, SYNTH_OPTIONS, "generate a synthetic dialogue corpus with 8:1:1 split"),
+    "train": (cmd_train, TRAIN_OPTIONS, "train a projection model (clean or multi-condition)"),
+    "eval": (cmd_eval, EVAL_OPTIONS, "projection-task loss per SNR level, one column per checkpoint"),
+    "simulate": (cmd_simulate, SIM_OPTIONS, "simulated sessions measuring response-time per policy"),
+    "stream": (cmd_stream, STREAM_OPTIONS, "replay a WAV through the engine, one JSON line per tick"),
+    "bench": (cmd_bench, BENCH_OPTIONS, "measure per-tick compute on synthetic audio"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,77 +570,21 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, latency simulation, and streaming inference.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, options, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("synth-data", cmd_synth_data, "generate a synthetic dialogue corpus with 8:1:1 split")
-    p.add_argument("--out")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--turns", type=int)
-
-    p = add("train", cmd_train, "train a projection model (clean or multi-condition)")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--mode", choices=["clean", "mc"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-decay", dest="lr_decay", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--window-stride", dest="window_stride", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-snrs", dest="train_snrs")
-    p.add_argument("--zero-robot-prob", dest="zero_robot_prob", type=float)
-    p.add_argument("--noise-dir", dest="noise_dir")
-    p.add_argument("--model-dim", dest="model_dim", type=int)
-    p.add_argument("--channel-layers", dest="channel_layers", type=int)
-    p.add_argument("--cross-layers", dest="cross_layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--quiet", action="store_true", default=None)
-
-    p = add("eval", cmd_eval, "projection-task loss per SNR level, one column per checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--checkpoint", action="append")
-    p.add_argument("--snrs")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--noise-dir", dest="noise_dir")
-    p.add_argument("--split", choices=["train", "valid", "test"])
-
-    p = add("simulate", cmd_simulate, "simulated sessions measuring response-time per policy")
-    p.add_argument("--out")
-    p.add_argument("--checkpoint")
-    p.add_argument("--policies")
-    p.add_argument("--n-dialogues", dest="n_dialogues", type=int)
-    p.add_argument("--turns", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--consecutive-k", dest="consecutive_k", type=int)
-    p.add_argument("--min-user-speech-ms", dest="min_user_speech_ms", type=float)
-    p.add_argument("--stt-silence-ms", dest="stt_silence_ms", type=float)
-    p.add_argument("--latency-family", dest="latency_family")
-    p.add_argument("--latency-mean", dest="latency_mean", type=float)
-    p.add_argument("--latency-std", dest="latency_std", type=float)
-    p.add_argument("--response-delay", dest="response_delay", type=float)
-
-    p = add("stream", cmd_stream, "replay a WAV through the engine, one JSON line per tick")
-    p.add_argument("--checkpoint")
-    p.add_argument("--wav")
-    p.add_argument("--robot-wav", dest="robot_wav")
-    p.add_argument("--out")
-    p.add_argument("--chunk-ms", dest="chunk_ms", type=float)
-    p.add_argument("--realtime", action="store_true", default=None)
-
-    p = add("bench", cmd_bench, "measure per-tick compute on synthetic audio")
-    p.add_argument("--checkpoint")
-    p.add_argument("--seconds", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget-ms", dest="budget_ms", type=float)
-
+        p.set_defaults(func=func, options=options)
+        for key, opt in options.items():
+            if opt.kind is bool:
+                p.add_argument(_flag(key), dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(
+                    _flag(key),
+                    dest=key,
+                    type=opt.kind,
+                    choices=opt.choices or None,
+                    action="append" if opt.append else "store",
+                )
     return parser
 
 
@@ -595,8 +592,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (CliConfigError, CheckpointError) as exc:
+        file_cfg = _load_config_file(args.config)
+        return args.func(_resolve(args, file_cfg, args.options), file_cfg)
+    except (CliConfigError, CheckpointError, DatasetSplitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

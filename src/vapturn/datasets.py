@@ -47,12 +47,12 @@ def write_dataset(out_dir, n_items: int, script: DialogueScript, seed: int) -> d
 
     The manifest is byte-stable for a fixed seed and script.
     """
+    ids = [f"dlg{i:04d}" for i in range(n_items)]
+    train, valid, test = split_dataset(ids, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ids = []
-    for i in range(n_items):
+    for i, item_id in enumerate(ids):
         item_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-        item_id = f"dlg{i:04d}"
         sd = generate_scripted_dialogue(replace(script, seed=item_seed))
         save_wav(sd.stereo.channel_a, out / f"{item_id}_user.wav")
         save_wav(sd.stereo.channel_b, out / f"{item_id}_robot.wav")
@@ -77,8 +77,6 @@ def write_dataset(out_dir, n_items: int, script: DialogueScript, seed: int) -> d
         }
         with open(out / f"{item_id}_labels.json", "w") as fh:
             json.dump(labels, fh, sort_keys=True)
-        ids.append(item_id)
-    train, valid, test = split_dataset(ids, seed)
     manifest = {
         "version": MANIFEST_VERSION,
         "seed": seed,

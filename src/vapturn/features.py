@@ -60,16 +60,16 @@ def feature_frame_count(n_samples: int) -> int:
     return n_samples // HOP_SAMPLES
 
 
-def extract_features(w, n_mels: int = N_MELS) -> np.ndarray:
-    """Log-mel features, one (n_mels,) row per 100 ms of audio.
+def extract_features(w) -> np.ndarray:
+    """Log-mel features, one (N_MELS,) row per 100 ms of audio.
 
-    Accepts a Waveform or a raw sample array. Returns shape (T, n_mels) with
+    Accepts a Waveform or a raw sample array. Returns shape (T, N_MELS) with
     T = floor(n_samples / 1600); silence maps to log(1e-10) in every band.
     """
     samples = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
     n_frames = feature_frame_count(samples.size)
     if n_frames == 0:
-        return np.zeros((0, n_mels))
+        return np.zeros((0, N_MELS))
     padded = np.concatenate(
         [np.zeros(WINDOW_SAMPLES - HOP_SAMPLES), samples[: n_frames * HOP_SAMPLES]]
     )
@@ -79,12 +79,12 @@ def extract_features(w, n_mels: int = N_MELS) -> np.ndarray:
         shape=(n_frames, WINDOW_SAMPLES),
         strides=(HOP_SAMPLES * stride, stride),
     )
-    return _frame_features(frames, n_mels)
+    return _frame_features(frames)
 
 
-def _frame_features(frames: np.ndarray, n_mels: int = N_MELS) -> np.ndarray:
+def _frame_features(frames: np.ndarray) -> np.ndarray:
     """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame."""
     spectrum = np.fft.rfft(frames * _window_fn(), axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    mel_power = power @ mel_filterbank(n_mels).T
+    mel_power = power @ mel_filterbank().T
     return np.log(np.maximum(mel_power, LOG_FLOOR))

@@ -43,7 +43,6 @@ class ModelConfig:
     heads: int = 2
     context_frames: int = 50
     ffn_mult: int = 4
-    tie_channels: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -72,7 +71,6 @@ class ModelConfig:
             "heads": self.heads,
             "context_frames": self.context_frames,
             "ffn_mult": self.ffn_mult,
-            "tie_channels": self.tie_channels,
             "seed": self.seed,
         }
 
@@ -136,10 +134,6 @@ class LossBreakdown(NamedTuple):
 # parameters
 
 
-def _stream_key(cfg: ModelConfig, stream: str) -> str:
-    return "a" if cfg.tie_channels else stream
-
-
 def init_params(cfg: ModelConfig, seed: int | None = None) -> dict:
     """Fresh parameter dict; trunk weights at 1/sqrt(fan_in), heads near zero."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
@@ -168,8 +162,7 @@ def init_params(cfg: ModelConfig, seed: int | None = None) -> dict:
 
     p["in.W"] = dense((cfg.feature_bands, d), cfg.feature_bands)
     p["in.b"] = np.zeros(d)
-    streams = ("a",) if cfg.tie_channels else ("a", "b")
-    for c in streams:
+    for c in ("a", "b"):
         for layer in range(cfg.channel_layers):
             base = f"ch.{c}.{layer}"
             add_ln(f"{base}.ln1")
@@ -186,9 +179,8 @@ def init_params(cfg: ModelConfig, seed: int | None = None) -> dict:
     add_ln("final")
     p["vap.W"] = rng.standard_normal((d, N_STATES)) * HEAD_INIT_STD
     p["vap.b"] = np.zeros(N_STATES)
-    n_vad = 1 if cfg.tie_channels else 2
-    p["vad.W"] = rng.standard_normal((d, n_vad)) * HEAD_INIT_STD
-    p["vad.b"] = np.zeros(n_vad)
+    p["vad.W"] = rng.standard_normal((d, 2)) * HEAD_INIT_STD
+    p["vad.b"] = np.zeros(2)
     return p
 
 
@@ -399,10 +391,9 @@ def _encode(params, feats, cfg: ModelConfig, stream: str):
     """
     z = standardize(feats)
     x = z @ params["in.W"] + params["in.b"]
-    key = _stream_key(cfg, stream)
     caches = []
     for layer in range(cfg.channel_layers):
-        x, cache = _self_block_fwd(x, params, f"ch.{key}.{layer}", cfg.heads)
+        x, cache = _self_block_fwd(x, params, f"ch.{stream}.{layer}", cfg.heads)
         caches.append(cache)
     return x, (z, caches)
 
@@ -415,14 +406,13 @@ def _fuse(params, xa, xb, cfg: ModelConfig, last_row: bool = False):
     layers still run on every row because they feed the other channel's keys
     and values. That cache is not valid for _backward.
     """
-    sa, sb = "a", _stream_key(cfg, "b")
     cross_caches = []
     for layer in range(cfg.cross_layers):
         qa, qb = xa, xb
         if last_row and layer == cfg.cross_layers - 1:
             qa, qb = xa[:, -1:], xb[:, -1:]
-        ya, ca = _cross_block_fwd(qa, xb, params, f"x.{sa}.{layer}", cfg.heads)
-        yb, cb = _cross_block_fwd(qb, xa, params, f"x.{sb}.{layer}", cfg.heads)
+        ya, ca = _cross_block_fwd(qa, xb, params, f"x.a.{layer}", cfg.heads)
+        yb, cb = _cross_block_fwd(qb, xa, params, f"x.b.{layer}", cfg.heads)
         cross_caches.append((ca, cb))
         xa, xb = ya, yb
     ha, lnf_a = _ln_fwd(xa, params["final.g"], params["final.b"])
@@ -431,10 +421,7 @@ def _fuse(params, xa, xb, cfg: ModelConfig, last_row: bool = False):
     vap_logits = fused @ params["vap.W"] + params["vap.b"]
     w_vad = params["vad.W"]
     b_vad = params["vad.b"]
-    col_b = 0 if cfg.tie_channels else 1
-    vad_logits = np.stack(
-        [ha @ w_vad[:, 0] + b_vad[0], hb @ w_vad[:, col_b] + b_vad[col_b]], axis=-1
-    )
+    vad_logits = np.stack([ha @ w_vad[:, 0] + b_vad[0], hb @ w_vad[:, 1] + b_vad[1]], axis=-1)
     return vap_logits, vad_logits, (cross_caches, lnf_a, lnf_b, ha, hb, fused)
 
 
@@ -456,31 +443,29 @@ def _backward(params, cfg: ModelConfig, cache, dvap_logits, dvad_logits) -> dict
     dfused = dvap_logits @ params["vap.W"].T
     grads["vap.W"] += _mat_grad(fused, dvap_logits)
     grads["vap.b"] += dvap_logits.sum(axis=(0, 1))
-    col_b = 0 if cfg.tie_channels else 1
     w_vad = params["vad.W"]
     dha = dfused + dvad_logits[..., 0:1] * w_vad[:, 0]
-    dhb = dfused + dvad_logits[..., 1:2] * w_vad[:, col_b]
+    dhb = dfused + dvad_logits[..., 1:2] * w_vad[:, 1]
     grads["vad.W"][:, 0] += ha.reshape(-1, ha.shape[-1]).T @ dvad_logits[..., 0].ravel()
     grads["vad.b"][0] += dvad_logits[..., 0].sum()
-    grads["vad.W"][:, col_b] += hb.reshape(-1, hb.shape[-1]).T @ dvad_logits[..., 1].ravel()
-    grads["vad.b"][col_b] += dvad_logits[..., 1].sum()
+    grads["vad.W"][:, 1] += hb.reshape(-1, hb.shape[-1]).T @ dvad_logits[..., 1].ravel()
+    grads["vad.b"][1] += dvad_logits[..., 1].sum()
     dxa, dg, db = _ln_bwd(dha, lnf_a, params["final.g"])
     grads["final.g"] += dg
     grads["final.b"] += db
     dxb, dg, db = _ln_bwd(dhb, lnf_b, params["final.g"])
     grads["final.g"] += dg
     grads["final.b"] += db
-    sa, sb = "a", _stream_key(cfg, "b")
     for layer in reversed(range(cfg.cross_layers)):
         ca, cb = cross_caches[layer]
-        dself_a, dother_a = _cross_block_bwd(dxa, ca, params, f"x.{sa}.{layer}", cfg.heads, grads)
-        dself_b, dother_b = _cross_block_bwd(dxb, cb, params, f"x.{sb}.{layer}", cfg.heads, grads)
+        dself_a, dother_a = _cross_block_bwd(dxa, ca, params, f"x.a.{layer}", cfg.heads, grads)
+        dself_b, dother_b = _cross_block_bwd(dxb, cb, params, f"x.b.{layer}", cfg.heads, grads)
         dxa = dself_a + dother_b
         dxb = dself_b + dother_a
     for layer in reversed(range(cfg.channel_layers)):
         ca, cb = ch_caches_a[layer], ch_caches_b[layer]
-        dxa = _self_block_bwd(dxa, ca, params, f"ch.{sa}.{layer}", cfg.heads, grads)
-        dxb = _self_block_bwd(dxb, cb, params, f"ch.{sb}.{layer}", cfg.heads, grads)
+        dxa = _self_block_bwd(dxa, ca, params, f"ch.a.{layer}", cfg.heads, grads)
+        dxb = _self_block_bwd(dxb, cb, params, f"ch.b.{layer}", cfg.heads, grads)
     grads["in.W"] += _mat_grad(za, dxa) + _mat_grad(zb, dxb)
     grads["in.b"] += dxa.sum(axis=(0, 1)) + dxb.sum(axis=(0, 1))
     return grads

@@ -355,30 +355,33 @@ def eval_per_snr(
 ):
     """Projection-task loss at each SNR level, noise on the user channel only.
 
-    Noise draws are deterministic per (seed, SNR row, item). Returns the loss
-    table {snr: L_vap} and the condition provenance rows.
+    Noise draws are deterministic per (seed, SNR row, item). The robot and
+    clean user features and the targets are computed once per item; each
+    noisy row extracts only its mixed user channel. Returns the loss table
+    {snr: L_vap} and the condition provenance rows.
     """
     test_items = list(test_items)
     if not test_items:
         raise EmptyDatasetError("empty test set")
+    prepared = _prepare_items(test_items, bin_cfg)
     table = {}
     provenance = []
     for row_idx, snr in enumerate(snr_list):
         windows = []
-        for item_idx, (item_id, dialogue) in enumerate(test_items):
+        for item_idx, ((item_id, _), item) in enumerate(zip(test_items, prepared)):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(row_idx, item_idx))
             )
             if math.isinf(snr):
-                mixed = dialogue
+                feats_user = item.feats_user_clean
                 cond = Condition("none", math.inf)
             else:
                 name = bank.names[int(rng.integers(len(bank)))]
                 cond = Condition(name, float(snr))
-                user, _ = apply_condition(dialogue.channel_a, cond, bank, rng)
-                mixed = StereoDialogue(user, dialogue.channel_b, dialogue.vad_a, dialogue.vad_b)
+                mixed, _ = apply_condition(item.user, cond, bank, rng)
+                feats_user = extract_features(mixed)
             provenance.append((item_id, cond, seed))
-            fb = dialogue_frames(mixed, bin_cfg)
+            fb = FrameBatch(feats_user, item.feats_robot, item.target_state, item.target_vad)
             windows.extend(slice_windows(fb, cfg.context_frames, cfg.context_frames, dedupe=True))
         table[snr] = _eval_loss(params, cfg, windows).vap
     return table, provenance

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vapturn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from vapturn.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from vapturn.audio import load_wav
 from vapturn.model import ModelConfig, init_params
 from vapturn.training import read_history_csv, save_checkpoint
@@ -130,7 +131,11 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "config, flags",
-        [({"feature_bands": 20}, []), ({}, ["--model-dim", "33", "--heads", "2"])],
+        [
+            ({"feature_bands": 20}, []),
+            ({}, ["--model-dim", "33", "--heads", "2"]),
+            ({}, ["--feature-bands", "20"]),
+        ],
     )
     def test_invalid_model_config_is_config_error(self, workspace, tmp_path, config, flags):
         cfg_path = tmp_path / "model.json"
@@ -233,11 +238,15 @@ class TestStream:
         wav = next(workspace["data"].glob("*_user.wav"))
         assert main(["stream", "--checkpoint", str(ckpt), "--wav", str(wav)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("kind", ["text", "absent"])
+    @pytest.mark.parametrize("kind", ["text", "absent", "stored_tie_channels"])
     def test_unreadable_checkpoint_is_config_error(self, workspace, tmp_path, kind):
         ckpt = tmp_path / "model.npz"
         if kind == "text":
             ckpt.write_text("not a checkpoint\n")
+        elif kind == "stored_tie_channels":
+            cfg = ModelConfig()
+            meta = json.dumps({"version": 1, "config": {**cfg.to_json_dict(), "tie_channels": False}})
+            np.savez(ckpt, __meta__=np.array(meta), **init_params(cfg))
         wav = next(workspace["data"].glob("*_user.wav"))
         assert main(["stream", "--checkpoint", str(ckpt), "--wav", str(wav)]) == EXIT_CONFIG
 
@@ -259,3 +268,85 @@ class TestBench:
 
     def test_budget_enforcement(self, capsys):
         assert main(["bench", "--seconds", "1", "--budget-ms", "0.0001"]) == EXIT_RUNTIME
+
+
+OPTION_STRINGS = {
+    "synth-data": ["--config", "--out", "--n", "--seed", "--turns"],
+    "train": [
+        "--config", "--data", "--out", "--mode", "--epochs", "--lr", "--lr-decay", "--batch-size",
+        "--window-stride", "--seed", "--train-snrs", "--zero-robot-prob", "--noise-dir",
+        "--noise-seed", "--feature-bands", "--model-dim", "--channel-layers", "--cross-layers",
+        "--heads", "--quiet",
+    ],
+    "eval": [
+        "--config", "--data", "--out", "--checkpoint", "--snrs", "--seed", "--noise-dir",
+        "--noise-seed", "--split",
+    ],
+    "simulate": [
+        "--config", "--out", "--checkpoint", "--policies", "--n-dialogues", "--turns", "--seed",
+        "--theta", "--consecutive-k", "--min-user-speech-ms", "--stt-silence-ms",
+        "--latency-family", "--latency-mean", "--latency-std", "--response-delay",
+    ],
+    "stream": ["--config", "--checkpoint", "--wav", "--robot-wav", "--out", "--chunk-ms", "--realtime"],
+    "bench": ["--config", "--checkpoint", "--seconds", "--seed", "--budget-ms"],
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+    def test_flags_come_from_the_table(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [s for a in sub.choices[command]._actions for s in a.option_strings]
+        assert [f for f in flags if f not in ("-h", "--help")] == OPTION_STRINGS[command]
+        for key, opt in COMMANDS[command][1].items():
+            assert opt.default is None or type(opt.default) is opt.kind, key
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            # a config-file value of the wrong type or outside its choices
+            ("train", {"epochs": 1.7}, []),  # float for an int
+            ("train", {"quiet": "no"}, []),  # string for a bool
+            ("train", {"lr": [0.1]}, []),  # list for a float
+            ("train", {"batch_size": True}, []),  # bool for an int
+            ("eval", {"split": "bogus"}, []),
+            ("eval", {"snrs": "clean,loud"}, []),
+            ("simulate", {"script": {"bogus_key": 1}}, []),
+            ("stream", {"chunk_ms": "fast"}, []),
+            # a value a config object rejects
+            ("simulate", {}, ["--latency-family", "bogus"]),
+            ("simulate", {}, ["--latency-mean", "-1"]),
+            ("simulate", {}, ["--turns", "-1"]),
+            ("simulate", {}, ["--theta", "0.4"]),
+            ("train", {}, ["--zero-robot-prob", "2"]),
+            # a value that gives no work
+            ("synth-data", {}, ["--n", "5"]),  # fewer items than an 8:1:1 split needs
+            ("simulate", {}, ["--n-dialogues", "0"]),
+            ("simulate", {}, ["--turns", "0"]),
+            ("stream", {}, ["--chunk-ms", "0"]),
+            ("stream", {}, ["--chunk-ms", "-20"]),
+            ("bench", {}, ["--seconds", "0.05"]),
+        ],
+    )
+    def test_rejected_value_exits_2_before_work(self, workspace, tmp_path, command, config, flags):
+        ckpt = str(workspace["run"] / "checkpoint.npz")
+        out = str(tmp_path / "out")
+        required = {
+            "synth-data": ["--out", out],
+            "train": ["--data", str(workspace["data"]), "--out", out, "--quiet"],
+            "eval": ["--data", str(workspace["data"]), "--out", out, "--checkpoint", ckpt],
+            "simulate": ["--out", out, "--policies", "stt"],
+            "stream": ["--checkpoint", ckpt, "--wav", str(next(workspace["data"].glob("*_user.wav")))],
+            "bench": [],
+        }[command]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([command, *required, "--config", str(cfg_path), *flags]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_int_for_float_is_accepted(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({"seconds": 1}))
+        assert main(["bench", "--config", str(cfg_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["ticks"] == 10

@@ -26,13 +26,6 @@ def test_analytic_matches_central_differences():
     assert err <= 1e-3
 
 
-def test_gradcheck_with_tied_channels():
-    cfg = ModelConfig(tie_channels=True)
-    params = init_params(cfg, seed=1)
-    err = grad_check(params, _small_batch(3), cfg, n_coords=30, seed=4)
-    assert err <= 1e-3
-
-
 def test_dead_relu_coordinate_counts_as_pass():
     # drive one FFN unit far negative: its incoming weight has exactly zero
     # analytic gradient and a vanishing finite difference, which the check

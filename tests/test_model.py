@@ -100,17 +100,6 @@ class TestForward:
         out_full = forward(params, FrameBatch(fa, fb), cfg)
         assert np.array_equal(out_short.vap, out_full.vap[:10])
 
-    def test_swap_symmetry_with_tied_channels(self):
-        cfg = ModelConfig(tie_channels=True)
-        p = init_params(cfg, seed=5)
-        rng = np.random.default_rng(4)
-        fa = rng.standard_normal((10, 40))
-        fb = rng.standard_normal((10, 40))
-        out_ab = forward(p, FrameBatch(fa, fb), cfg)
-        out_ba = forward(p, FrameBatch(fb, fa), cfg)
-        assert np.allclose(out_ab.vad[:, 0], out_ba.vad[:, 1], atol=1e-12)
-        assert np.allclose(out_ab.vad[:, 1], out_ba.vad[:, 0], atol=1e-12)
-
     def test_shape_mismatch_rejected(self, params, cfg):
         rng = np.random.default_rng(5)
         with pytest.raises(ShapeMismatchError):
@@ -168,9 +157,8 @@ class TestLastRow:
             assert np.max(np.abs(last.vap[i] - full.vap[-1])) <= 1e-12
             assert np.max(np.abs(last.vad[i] - full.vad[-1])) <= 1e-12
 
-    @pytest.mark.parametrize("tie", [False, True])
-    def test_shared_robot_encoding_broadcasts(self, tie):
-        cfg = ModelConfig(cross_layers=2, tie_channels=tie)
+    def test_shared_robot_encoding_broadcasts(self):
+        cfg = ModelConfig(cross_layers=2)
         p = init_params(cfg, seed=5)
         rng = np.random.default_rng(10)
         fa = rng.standard_normal((3, 12, cfg.feature_bands))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from vapturn.audio import vad_from_energy
@@ -185,6 +187,38 @@ class TestRunSession:
                 assert rec.user_response_s == pytest.approx(expect)
             else:
                 assert rec.user_response_s is None
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n_turns=st.integers(1, 2),
+        script_seed=st.integers(0, 2**31),
+        continuation_prob=st.floats(0.0, 1.0),
+        session_seed=st.integers(0, 2**31),
+        silence_ms=st.floats(200.0, 1500.0),
+        family=st.sampled_from(["lognormal", "normal", "constant", "uniform"]),
+        mean_s=st.floats(0.01, 2.0),
+        std_s=st.floats(0.0, 1.0),
+    )
+    def test_hybrid_never_slower_than_stt(
+        self, n_turns, script_seed, continuation_prob, session_seed, silence_ms, family, mean_s, std_s
+    ):
+        dialogue = generate_scripted_dialogue(
+            DialogueScript(n_turns=n_turns, continuation_prob=continuation_prob, seed=script_seed)
+        )
+        latency = SampleDist(family, mean_s, std_s)
+        stt_cfg = SttSimConfig(silence_threshold_ms=silence_ms, latency=latency)
+        cfg = ModelConfig()
+        # theta just above the untrained model's p_now_robot, so the local
+        # detector wins some races and loses others
+        vap_cfg = VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0)
+        kwargs = dict(stt_cfg=stt_cfg, seed=session_seed)
+        stt = run_session(dialogue, "stt", **kwargs)
+        hybrid = run_session(
+            dialogue, "hybrid", params=init_params(cfg, seed=2), model_cfg=cfg, vap_cfg=vap_cfg, **kwargs
+        )
+        assert [r.turn for r in hybrid] == [r.turn for r in stt] == list(range(n_turns))
+        for h, s in zip(hybrid, stt):
+            assert h.robot_response_s <= s.robot_response_s
 
     def test_same_seed_same_records(self, dialogue):
         a = run_session(dialogue, "stt", seed=11)

@@ -274,7 +274,6 @@ def _count_encodes(monkeypatch) -> list:
 
 SILENT_CONFIGS = {
     "default": ModelConfig(),
-    "tied": ModelConfig(tie_channels=True),
     "cross2": ModelConfig(cross_layers=2),
     "context4": ModelConfig(context_frames=4),
 }

@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import vapturn.training as training
+from vapturn.audio import StereoDialogue
 from vapturn.codebook import BinConfig, encode_state, window_from_labels
 from vapturn.model import FrameBatch, ModelConfig, init_params
-from vapturn.noise import synthetic_noise_bank
+from vapturn.noise import Condition, apply_condition, synthetic_noise_bank
 from vapturn.simulate import DialogueScript, generate_scripted_dialogue, session_scripts
 from vapturn.stats import SampleDist
 from vapturn.training import (
@@ -191,6 +194,38 @@ class TestEvalPerSnr:
         with pytest.raises(EmptyDatasetError):
             eval_per_snr({}, [], ModelConfig(), synthetic_noise_bank(0))
 
+    def test_equals_per_row_extraction(self, corpus, monkeypatch):
+        # reference: every row re-extracts both channels of every item from
+        # its mixed dialogue; the result must be exactly the same, from one
+        # robot and one clean-user extraction per item plus the noisy users
+        cfg = ModelConfig(context_frames=20)
+        params = init_params(cfg, seed=3)
+        bank = synthetic_noise_bank(0)
+        items, snrs, seed = corpus[:3], (math.inf, 10.0, 5.0), 4
+
+        ref_table, ref_prov = {}, []
+        for row_idx, snr in enumerate(snrs):
+            windows = []
+            for item_idx, (item_id, dialogue) in enumerate(items):
+                seq = np.random.SeedSequence(entropy=seed, spawn_key=(row_idx, item_idx))
+                rng = np.random.default_rng(seq)
+                mixed, cond = dialogue, Condition("none", math.inf)
+                if not math.isinf(snr):
+                    cond = Condition(bank.names[int(rng.integers(len(bank)))], snr)
+                    user, _ = apply_condition(dialogue.channel_a, cond, bank, rng)
+                    mixed = StereoDialogue(user, dialogue.channel_b, dialogue.vad_a, dialogue.vad_b)
+                ref_prov.append((item_id, cond, seed))
+                windows += slice_windows(dialogue_frames(mixed), 20, 20, dedupe=True)
+            ref_table[snr] = training._eval_loss(params, cfg, windows).vap
+
+        calls = []
+        extract = training.extract_features
+        monkeypatch.setattr(training, "extract_features", lambda w: calls.append(1) or extract(w))
+        table, prov = eval_per_snr(params, items, cfg, bank, snr_list=snrs, seed=seed)
+        assert table == ref_table
+        assert prov == ref_prov
+        assert len(calls) == 2 * len(items) + 2 * len(items)  # 2 per item, 1 per noisy row
+
 
 class TestCheckpointIO:
     def test_roundtrip(self, tmp_path, corpus):
@@ -242,6 +277,16 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         assert issubclass(CheckpointError, ValueError)
+
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_rejects_stored_tie_channels(self, tmp_path, tie):
+        # the tie_channels field is gone: a config that still holds it never loads
+        cfg = ModelConfig()
+        meta = json.dumps({"version": 1, "config": {**cfg.to_json_dict(), "tie_channels": tie}})
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, __meta__=np.array(meta), **init_params(cfg))
+        with pytest.raises(CheckpointError, match="tie_channels"):
+            load_checkpoint(path)
 
     def test_history_csv_roundtrip(self, tmp_path):
         history = [

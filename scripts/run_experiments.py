@@ -51,8 +51,9 @@ def main():
         results[mode] = (params, history, dt)
 
     t0 = time.perf_counter()
-    for mode in ("mc", "clean"):
-        table, _ = eval_per_snr(results[mode][0], test, cfg, bank, seed=5)
+    modes = ("mc", "clean")
+    tables, _ = eval_per_snr([(results[mode][0], cfg) for mode in modes], test, bank, seed=5)
+    for mode, table in zip(modes, tables):
         row = "  ".join(
             f"{'clean' if np.isinf(snr) else int(snr)}dB={v:.3f}" for snr, v in table.items()
         )

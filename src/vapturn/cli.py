@@ -143,12 +143,28 @@ def _resolve(args, file_cfg: dict, options: dict) -> dict:
     return out
 
 
+def _typed_like(key: str, default, value):
+    """A config-file value checked against a default of the same JSON shape:
+    an object key by key, a list item by item against its first item, any
+    other value like a top-level key against the type of the default."""
+    if isinstance(default, dict):
+        block = _typed(key, Opt({}, dict), value)
+        if unknown := sorted(block.keys() - default.keys()):
+            raise CliConfigError(f"config key {key!r} has unknown keys {unknown}")
+        return {k: _typed_like(f"{key}.{k}", default[k], v) for k, v in block.items()}
+    if isinstance(default, list):
+        items = _typed(key, Opt([], list), value)
+        return [_typed_like(f"{key}[{i}]", default[0], v) for i, v in enumerate(items)]
+    return _typed(key, Opt(default, type(default)), value)
+
+
 def _script_from(resolved: dict, file_cfg: dict) -> DialogueScript:
+    """Defaults, then the config file's script block, then --turns."""
     script = DialogueScript()
     if "script" in file_cfg:
-        script = _config(
-            DialogueScript.from_json_dict, {**script.to_json_dict(), **file_cfg["script"]}
-        )
+        defaults = script.to_json_dict()
+        block = _typed_like("script", defaults, file_cfg["script"])
+        script = _config(DialogueScript.from_json_dict, {**defaults, **block})
     if resolved["turns"] is not None:
         script = _config(replace, script, n_turns=resolved["turns"])
     return script
@@ -288,15 +304,11 @@ def cmd_eval(resolved: dict, file_cfg: dict) -> int:
     bank = _noise_bank(resolved)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
-    columns = {}
-    provenance = None
-    for path in resolved["checkpoint"]:
-        params, cfg = load_checkpoint(path)
-        table, prov = eval_per_snr(
-            params, items, cfg, bank, snr_list=snr_list, seed=resolved["seed"]
-        )
-        columns[Path(path).stem + "_" + Path(path).parent.name] = table
-        provenance = prov
+    paths = resolved["checkpoint"]
+    tables, provenance = eval_per_snr(
+        [load_checkpoint(path) for path in paths], items, bank, snr_list=snr_list, seed=resolved["seed"]
+    )
+    columns = {Path(path).stem + "_" + Path(path).parent.name: t for path, t in zip(paths, tables)}
     names = list(columns.keys())
     with open(out / "eval.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -64,7 +64,7 @@ def extract_features(w) -> np.ndarray:
     """Log-mel features, one (N_MELS,) row per 100 ms of audio.
 
     Accepts a Waveform or a raw sample array. Returns shape (T, N_MELS) with
-    T = floor(n_samples / 1600); silence maps to log(1e-10) in every band.
+    T = floor(n_samples / 1600); silence maps to log(LOG_FLOOR) in every band.
     """
     samples = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
     n_frames = feature_frame_count(samples.size)
@@ -80,6 +80,13 @@ def extract_features(w) -> np.ndarray:
         strides=(HOP_SAMPLES * stride, stride),
     )
     return _frame_features(frames)
+
+
+def silent_features(n_frames: int) -> np.ndarray:
+    """Features of n_frames hops of digital zeros: log(LOG_FLOOR) in every
+    band, exactly what extract_features returns for them. A read-only
+    broadcast, so every caller shares one value whatever the length."""
+    return np.broadcast_to(np.log(LOG_FLOOR), (n_frames, N_MELS))
 
 
 def _frame_features(frames: np.ndarray) -> np.ndarray:

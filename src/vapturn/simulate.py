@@ -27,7 +27,6 @@ from .audio import (
 from .endpointing import (
     SOURCE_VAP,
     SttSimConfig,
-    TurnEvent,
     VapEndpointerConfig,
     arbitrate,
     stt_decide,
@@ -44,7 +43,6 @@ from .streaming import replay, run_stream  # noqa: F401
 POLICY_STT = "stt"
 POLICY_HYBRID = "hybrid"
 POLICY_VAP = "vap"
-POLICIES = (POLICY_STT, POLICY_HYBRID, POLICY_VAP)
 
 USER_TILT_DB_PER_OCTAVE = -4.0
 ROBOT_TILT_DB_PER_OCTAVE = 2.0
@@ -368,12 +366,14 @@ def run_session(
     channel zeroed, as deployed. For each user turn the policy's decision is
     arbitrated, the robot onset is decision + response_delay_s, and the
     response gap is measured from the labeled true end of the turn (floored at
-    zero; decisions before the true end are flagged premature). Under the
-    'vap' policy, turns the local detector misses yield no record.
+    zero; decisions before the true end are flagged premature). The policy
+    is 'stt' (cloud endpointer only) or 'hybrid' (the local detector raced
+    against it); the CLI's 'vap' records are the hybrid turns the local
+    detector decided.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-    needs_model = policy in (POLICY_HYBRID, POLICY_VAP)
+    if policy not in (POLICY_STT, POLICY_HYBRID):
+        raise ValueError(f"policy must be {POLICY_STT!r} or {POLICY_HYBRID!r}, got {policy!r}")
+    needs_model = policy == POLICY_HYBRID
     if needs_model and (params is None or model_cfg is None):
         raise ModelRequiredError(f"policy {policy!r} requires trained parameters")
     user_wave = dialogue.stereo.channel_a
@@ -398,19 +398,7 @@ def run_session(
                 fr for fr in frames if window_start < fr.timestamp_s <= window_end
             ]
             vap_t = vap_decide(turn_frames, vap_cfg)
-        if policy == POLICY_VAP:
-            if vap_t is None:
-                continue
-            event = TurnEvent(
-                decision_time_s=vap_t,
-                true_end_time_s=turn.user_end_s,
-                source=SOURCE_VAP,
-                latency_s=vap_t - turn.user_end_s,
-            )
-        elif policy == POLICY_HYBRID:
-            event = arbitrate(vap_t, stt_t, turn.user_end_s)
-        else:
-            event = arbitrate(None, stt_t, turn.user_end_s)
+        event = arbitrate(vap_t, stt_t, turn.user_end_s)
         robot_response = max(0.0, event.decision_time_s + response_delay_s - turn.user_end_s)
         user_response = None
         if k + 1 < len(turns):

@@ -18,7 +18,6 @@ float rounding of run_stream.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Waveform
 from .codebook import entropy_nats, p_now_pair
-from .features import HOP_SAMPLES, WINDOW_SAMPLES, _frame_features, extract_features
+from .features import HOP_SAMPLES, WINDOW_SAMPLES, _frame_features, extract_features, silent_features
 
 # forward is not called here; it stays importable as vapturn.streaming.forward,
 # a name perfbench's traced run wraps
@@ -111,19 +110,10 @@ def _frame_result(clock, p_user, p_robot, vad_row, entropy, compute_ms) -> Frame
     )
 
 
-@functools.lru_cache(maxsize=4)
-def _silent_features(n_samples: int) -> np.ndarray:
-    """Features of n_samples of digital zeros, computed once per length and
-    read-only, since every caller shares the array."""
-    feats = extract_features(np.zeros(n_samples))
-    feats.flags.writeable = False
-    return feats
-
-
 def _silent_robot_encoding(params: dict, cfg: ModelConfig) -> np.ndarray:
     """Robot encoding (1, context_frames, model_dim) of a context window of
     digital zeros: what every all-zero robot window encodes to."""
-    return encode_channel(params, _silent_features(cfg.context_samples)[None], cfg, "b")
+    return encode_channel(params, silent_features(cfg.context_frames)[None], cfg, "b")
 
 
 class StreamContext:
@@ -137,9 +127,6 @@ class StreamContext:
         self.params = params
         self.cfg = cfg
         self.capacity = cfg.context_frames * HOP_SAMPLES
-        # the window starts as silence, so its cached features start as the
-        # features of silence and the first tick reuses them like any other
-        self._silent_feats = _silent_features(self.capacity)
         # robot encoding of the silent window, and the params it was made with
         self._silent_enc = None
         self._silent_enc_params = None
@@ -253,8 +240,9 @@ class StreamContext:
         """Back to a fresh context: zeroed window, empty queue, clock at 0."""
         self._window_a = np.zeros(self.capacity)
         self._window_b = np.zeros(self.capacity)
-        self._feat_a = self._silent_feats
-        self._feat_b = self._silent_feats
+        # the window starts as silence, so its cached features start as the
+        # features of silence and the first tick reuses them like any other
+        self._feat_a = self._feat_b = silent_features(self.cfg.context_frames)
         # consecutive all-zero robot hops; the fresh window counts as all zero
         self._silent_hops = self.cfg.context_frames
         # queued audio of both channels is _pending[:, _start:_end]

@@ -6,13 +6,13 @@ import csv
 import json
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio import StereoDialogue, Waveform
+from .audio import StereoDialogue
 from .codebook import HORIZON_FRAMES, BinConfig, N_BINS
-from .features import extract_features
+from .features import extract_features, silent_features
 from .model import (
     FrameBatch,
     LossBreakdown,
@@ -66,7 +66,7 @@ class AugmentConfig:
             raise ValueError("zero_robot_prob must be in [0, 1]")
 
 
-def frame_targets(labels_a, labels_b, n_frames: int, cfg: BinConfig = BinConfig()):
+def frame_targets(labels_a, labels_b, n_frames: int):
     """Per-frame projection-state and activity targets for a whole dialogue.
 
     Feature frame g predicts from label frame (g+1)*10 onward; frames whose 2 s
@@ -78,6 +78,7 @@ def frame_targets(labels_a, labels_b, n_frames: int, cfg: BinConfig = BinConfig(
     n_labels = labels_a.size
     starts = (np.arange(n_frames) + 1) * LABELS_PER_FEATURE_FRAME
     valid = starts + HORIZON_FRAMES <= n_labels
+    cfg = BinConfig()
     edges = cfg.edges_frames
     state = np.zeros(n_frames, dtype=np.int64)
     for s_idx, labels in enumerate((labels_a, labels_b)):
@@ -96,15 +97,11 @@ def frame_targets(labels_a, labels_b, n_frames: int, cfg: BinConfig = BinConfig(
     return state, target_vad
 
 
-def dialogue_frames(dialogue: StereoDialogue, cfg: BinConfig = BinConfig(),
-                    zero_robot: bool = False) -> FrameBatch:
+def dialogue_frames(dialogue: StereoDialogue) -> FrameBatch:
     """Features and targets for every 100 ms frame of one dialogue."""
     feats_a = extract_features(dialogue.channel_a)
-    robot = dialogue.channel_b
-    feats_b = extract_features(np.zeros(len(robot))) if zero_robot else extract_features(robot)
-    state, target_vad = frame_targets(
-        dialogue.vad_a.frames, dialogue.vad_b.frames, feats_a.shape[0], cfg
-    )
+    feats_b = extract_features(dialogue.channel_b)
+    state, target_vad = frame_targets(dialogue.vad_a.frames, dialogue.vad_b.frames, feats_a.shape[0])
     return FrameBatch(feats_a, feats_b, state, target_vad)
 
 
@@ -148,13 +145,16 @@ def _stack(windows) -> tuple:
     return fa, fb, ts, tv
 
 
-def _eval_loss(params, cfg: ModelConfig, windows, batch_size: int = 64) -> LossBreakdown:
-    """Target-weighted mean loss over a list of windows."""
+def _eval_loss(params, cfg: ModelConfig, batches, batch_size: int = 64) -> LossBreakdown:
+    """Target-weighted mean loss over whole-dialogue FrameBatches, each cut
+    into deduplicated context-length windows so every frame counts once."""
+    windows = [
+        w for b in batches for w in slice_windows(b, cfg.context_frames, cfg.context_frames, dedupe=True)
+    ]
     tot = np.zeros(3)
     n_total = 0
     for i in range(0, len(windows), batch_size):
-        chunk = windows[i : i + batch_size]
-        fa, fb, ts, tv = _stack(chunk)
+        fa, fb, ts, tv = _stack(windows[i : i + batch_size])
         n = int((ts >= 0).sum())
         if n == 0:
             continue
@@ -167,69 +167,33 @@ def _eval_loss(params, cfg: ModelConfig, windows, batch_size: int = 64) -> LossB
     return LossBreakdown(*(tot / n_total))
 
 
-def evaluate_items(params, cfg: ModelConfig, items, bin_cfg: BinConfig = BinConfig(),
-                   zero_robot: bool = False) -> LossBreakdown:
+def evaluate_items(params, cfg: ModelConfig, items) -> LossBreakdown:
     """Mean loss over full dialogues, each frame counted once."""
-    windows = []
-    for _, dialogue in items:
-        fb = dialogue_frames(dialogue, bin_cfg, zero_robot=zero_robot)
-        windows.extend(slice_windows(fb, cfg.context_frames, cfg.context_frames, dedupe=True))
-    if not windows:
-        raise EmptyDatasetError("no usable windows in dataset")
-    return _eval_loss(params, cfg, windows)
+    return _eval_loss(params, cfg, [dialogue_frames(dialogue) for _, dialogue in items])
 
 
-@dataclass
-class _Prepared:
-    """Per-dialogue cache: everything augmentation does not touch."""
-
-    user: "Waveform"
-    feats_user_clean: np.ndarray
-    feats_robot: np.ndarray
-    feats_robot_zero: np.ndarray
-    target_state: np.ndarray
-    target_vad: np.ndarray
-
-
-def _prepare_items(items, bin_cfg: BinConfig) -> list:
-    out = []
-    for _, dialogue in items:
-        feats_user = extract_features(dialogue.channel_a)
-        feats_robot = extract_features(dialogue.channel_b)
-        state, target_vad = frame_targets(
-            dialogue.vad_a.frames, dialogue.vad_b.frames, feats_user.shape[0], bin_cfg
-        )
-        out.append(
-            _Prepared(
-                user=dialogue.channel_a,
-                feats_user_clean=feats_user,
-                feats_robot=feats_robot,
-                feats_robot_zero=np.full_like(feats_robot, math.log(1e-10)),
-                target_state=state,
-                target_vad=target_vad,
-            )
-        )
-    return out
+def _prepare_items(items) -> list:
+    """(user waveform, dialogue_frames) per item: everything augmentation and
+    noisy evaluation rows do not touch, computed once."""
+    return [(dialogue.channel_a, dialogue_frames(dialogue)) for _, dialogue in items]
 
 
 def _epoch_windows(prepared, augment: AugmentConfig, bank, cfg: ModelConfig,
                    stride: int, seed: int, epoch: int) -> list:
     """Fresh augmentation draw for every item, reusing cached clean features."""
     windows = []
-    for item_idx, item in enumerate(prepared):
+    for item_idx, (user, frames) in enumerate(prepared):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(epoch, item_idx))
         )
-        feats_user = item.feats_user_clean
         if augment.mode == "mc":
             cond = sample_condition(rng, bank, augment.snr_set)
             if not cond.is_clean:
-                mixed, _ = apply_condition(item.user, cond, bank, rng)
-                feats_user = extract_features(mixed)
-        zero_robot = bool(rng.random() < augment.zero_robot_prob)
-        feats_robot = item.feats_robot_zero if zero_robot else item.feats_robot
-        batch = FrameBatch(feats_user, feats_robot, item.target_state, item.target_vad)
-        windows.extend(slice_windows(batch, cfg.context_frames, stride))
+                mixed, _ = apply_condition(user, cond, bank, rng)
+                frames = replace(frames, features_a=extract_features(mixed))
+        if rng.random() < augment.zero_robot_prob:
+            frames = replace(frames, features_b=silent_features(frames.n_frames))
+        windows.extend(slice_windows(frames, cfg.context_frames, stride))
     return windows
 
 
@@ -256,7 +220,6 @@ def fit(
     bank: NoiseBank | None = None,
     clip_norm: float = 1.0,
     seed: int = 0,
-    bin_cfg: BinConfig = BinConfig(),
     log=None,
 ):
     """Minibatch gradient descent with per-epoch multi-condition augmentation.
@@ -285,22 +248,11 @@ def fit(
             "valid_vad": valid_bd.vad,
         }
 
-    prepared = _prepare_items(train_items, bin_cfg)
-    valid_windows = []
-    for _, dialogue in valid_items:
-        fb = dialogue_frames(dialogue, bin_cfg)
-        valid_windows.extend(slice_windows(fb, cfg.context_frames, cfg.context_frames, dedupe=True))
-    if not valid_windows:
-        raise EmptyDatasetError("no usable validation windows")
-    train_eval_windows = []
-    for item in prepared:
-        batch = FrameBatch(item.feats_user_clean, item.feats_robot, item.target_state, item.target_vad)
-        train_eval_windows.extend(
-            slice_windows(batch, cfg.context_frames, cfg.context_frames, dedupe=True)
-        )
+    prepared = _prepare_items(train_items)
+    valid_frames = [dialogue_frames(dialogue) for _, dialogue in valid_items]
 
-    valid_bd = _eval_loss(params, cfg, valid_windows)
-    train_bd = _eval_loss(params, cfg, train_eval_windows)
+    valid_bd = _eval_loss(params, cfg, valid_frames)
+    train_bd = _eval_loss(params, cfg, [frames for _, frames in prepared])
     history.append(epoch_row(0, train_bd, valid_bd))
     best = (valid_bd.total, clone_params(params))
     if log:
@@ -330,7 +282,7 @@ def fit(
             sums += np.array(breakdown) * n
             n_frames += n
         train_bd = LossBreakdown(*(sums / n_frames))
-        valid_bd = _eval_loss(params, cfg, valid_windows)
+        valid_bd = _eval_loss(params, cfg, valid_frames)
         if not math.isfinite(valid_bd.total):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append(epoch_row(epoch, train_bd, valid_bd))
@@ -345,46 +297,43 @@ def fit(
 
 
 def eval_per_snr(
-    params,
+    models,
     test_items,
-    cfg: ModelConfig,
     bank: NoiseBank,
     snr_list=(math.inf, 20.0, 15.0, 10.0, 5.0),
     seed: int = 0,
-    bin_cfg: BinConfig = BinConfig(),
 ):
-    """Projection-task loss at each SNR level, noise on the user channel only.
+    """Projection-task loss of each (params, cfg) model at each SNR level,
+    noise on the user channel only.
 
-    Noise draws are deterministic per (seed, SNR row, item). The robot and
-    clean user features and the targets are computed once per item; each
-    noisy row extracts only its mixed user channel. Returns the loss table
-    {snr: L_vap} and the condition provenance rows.
+    Noise draws are deterministic per (seed, SNR row, item) and shared by all
+    models. The robot and clean user features and the targets are computed
+    once per item; each noisy row extracts only its mixed user channel, once
+    for all models. Returns one loss table {snr: L_vap} per model and the
+    condition provenance rows.
     """
-    test_items = list(test_items)
+    models, test_items = list(models), list(test_items)
     if not test_items:
         raise EmptyDatasetError("empty test set")
-    prepared = _prepare_items(test_items, bin_cfg)
-    table = {}
+    prepared = _prepare_items(test_items)
+    tables = [{} for _ in models]
     provenance = []
     for row_idx, snr in enumerate(snr_list):
-        windows = []
-        for item_idx, ((item_id, _), item) in enumerate(zip(test_items, prepared)):
+        batches = []
+        for item_idx, ((item_id, _), (user, frames)) in enumerate(zip(test_items, prepared)):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(row_idx, item_idx))
             )
-            if math.isinf(snr):
-                feats_user = item.feats_user_clean
-                cond = Condition("none", math.inf)
-            else:
-                name = bank.names[int(rng.integers(len(bank)))]
-                cond = Condition(name, float(snr))
-                mixed, _ = apply_condition(item.user, cond, bank, rng)
-                feats_user = extract_features(mixed)
+            cond = Condition("none", math.inf)
+            if not math.isinf(snr):
+                cond = Condition(bank.names[int(rng.integers(len(bank)))], float(snr))
+                mixed, _ = apply_condition(user, cond, bank, rng)
+                frames = replace(frames, features_a=extract_features(mixed))
             provenance.append((item_id, cond, seed))
-            fb = FrameBatch(feats_user, item.feats_robot, item.target_state, item.target_vad)
-            windows.extend(slice_windows(fb, cfg.context_frames, cfg.context_frames, dedupe=True))
-        table[snr] = _eval_loss(params, cfg, windows).vap
-    return table, provenance
+            batches.append(frames)
+        for table, (params, cfg) in zip(tables, models):
+            table[snr] = _eval_loss(params, cfg, batches).vap
+    return tables, provenance
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,9 @@ def test_c06_training_effectiveness(trained):
 
 @pytest.mark.slow
 def test_c07_noise_robustness_ordering(trained, corpus, model_cfg, noise_bank):
-    tables = {}
-    for mode in ("mc", "clean"):
-        tables[mode], _ = eval_per_snr(
-            trained[mode]["params"], corpus["test"], model_cfg, noise_bank, seed=5
-        )
+    modes = ("mc", "clean")
+    models = [(trained[mode]["params"], model_cfg) for mode in modes]
+    tables = dict(zip(modes, eval_per_snr(models, corpus["test"], noise_bank, seed=5)[0]))
     inf = math.inf
     mc_deg = tables["mc"][5.0] - tables["mc"][inf]
     clean_deg = tables["clean"][5.0] - tables["clean"][inf]

@@ -327,6 +327,14 @@ class TestOptionTable:
             ("stream", {}, ["--chunk-ms", "0"]),
             ("stream", {}, ["--chunk-ms", "-20"]),
             ("bench", {}, ["--seconds", "0.05"]),
+            # a script-block value of the wrong type
+            ("simulate", {"script": {"n_turns": 1.5}}, []),
+            ("synth-data", {"script": {"n_turns": 1.5}}, []),
+            ("simulate", {"script": {"tail_s": "2"}}, []),
+            ("synth-data", {"script": {"tail_s": "2"}}, []),
+            ("simulate", {"script": [1]}, []),
+            ("synth-data", {"script": {"user_reaction_s": {"family": "normal", "mean_s": True}}}, []),
+            ("synth-data", {"script": {"lead_in_s": [True, 2]}}, []),
         ],
     )
     def test_rejected_value_exits_2_before_work(self, workspace, tmp_path, command, config, flags):

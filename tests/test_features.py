@@ -13,6 +13,7 @@ from vapturn.features import (
     hz_to_mel,
     mel_band_edges_hz,
     mel_filterbank,
+    silent_features,
 )
 
 
@@ -35,6 +36,17 @@ def test_silence_hits_log_floor():
     feats = extract_features(Waveform(np.zeros(16000)))
     assert feats.shape == (10, N_MELS)
     assert np.all(feats == math.log(LOG_FLOOR))
+
+
+@pytest.mark.parametrize("n_frames", [4, 6, 33, 50])
+def test_silent_features_equal_features_of_zeros(n_frames):
+    # the one definition of a silent channel: bit-equal to the frontend's
+    # output for that many hops of digital zeros, and shared read-only
+    feats = silent_features(n_frames)
+    reference = extract_features(np.zeros(n_frames * HOP_SAMPLES))
+    assert feats.shape == reference.shape == (n_frames, N_MELS)
+    assert feats.tobytes() == reference.tobytes()
+    assert not feats.flags.writeable
 
 
 def test_one_second_gives_ten_frames():

@@ -150,8 +150,13 @@ class TestRunSession:
             run_session(dialogue, "hybrid")
 
     def test_unknown_policy(self, dialogue):
-        with pytest.raises(ValueError):
-            run_session(dialogue, "teleport")
+        # "vap" is a CLI policy only: its records are the hybrid turns the
+        # local detector decided, so run_session has no vap policy of its own
+        cfg = ModelConfig()
+        params = init_params(cfg, seed=0)
+        for policy in ("teleport", "vap"):
+            with pytest.raises(ValueError, match="policy must be"):
+                run_session(dialogue, policy, params=params, model_cfg=cfg)
 
     def test_hybrid_with_untrained_model_falls_back(self, dialogue):
         # an untrained model keeps p_now near 0.5 < theta, so every turn is

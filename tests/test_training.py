@@ -74,10 +74,6 @@ class TestFrameTargets:
         assert batch.target_state.shape == (batch.n_frames,)
         assert (batch.target_state >= -1).all() and (batch.target_state <= 255).all()
 
-    def test_zero_robot_features_are_floor(self, corpus):
-        batch = dialogue_frames(corpus[0][1], zero_robot=True)
-        assert np.allclose(batch.features_b, math.log(1e-10))
-
 
 class TestSliceWindows:
     def test_stride_and_window(self):
@@ -176,7 +172,7 @@ class TestEvalPerSnr:
         for key in ("vap.W", "vap.b", "vad.W", "vad.b"):
             params[key][:] = 0.0
         bank = synthetic_noise_bank(0)
-        table, prov = eval_per_snr(params, corpus[:3], cfg, bank, seed=0)
+        (table,), prov = eval_per_snr([(params, cfg)], corpus[:3], bank, seed=0)
         assert set(table) == {math.inf, 20.0, 15.0, 10.0, 5.0}
         for snr, lvap in table.items():
             assert lvap == pytest.approx(math.log(256), abs=1e-9), snr
@@ -186,18 +182,18 @@ class TestEvalPerSnr:
         cfg = ModelConfig()
         params = init_params(cfg, seed=1)
         bank = synthetic_noise_bank(0)
-        t1, _ = eval_per_snr(params, corpus[:3], cfg, bank, seed=9)
-        t2, _ = eval_per_snr(params, corpus[:3], cfg, bank, seed=9)
+        t1, _ = eval_per_snr([(params, cfg)], corpus[:3], bank, seed=9)
+        t2, _ = eval_per_snr([(params, cfg)], corpus[:3], bank, seed=9)
         assert t1 == t2
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            eval_per_snr({}, [], ModelConfig(), synthetic_noise_bank(0))
+            eval_per_snr([({}, ModelConfig())], [], synthetic_noise_bank(0))
 
     def test_equals_per_row_extraction(self, corpus, monkeypatch):
-        # reference: every row re-extracts both channels of every item from
-        # its mixed dialogue; the result must be exactly the same, from one
-        # robot and one clean-user extraction per item plus the noisy users
+        # reference: every row builds each item's whole-dialogue batch again
+        # from its mixed dialogue; the result must be exactly the same, from
+        # one robot and one clean-user extraction per item plus the noisy users
         cfg = ModelConfig(context_frames=20)
         params = init_params(cfg, seed=3)
         bank = synthetic_noise_bank(0)
@@ -205,7 +201,7 @@ class TestEvalPerSnr:
 
         ref_table, ref_prov = {}, []
         for row_idx, snr in enumerate(snrs):
-            windows = []
+            batches = []
             for item_idx, (item_id, dialogue) in enumerate(items):
                 seq = np.random.SeedSequence(entropy=seed, spawn_key=(row_idx, item_idx))
                 rng = np.random.default_rng(seq)
@@ -215,16 +211,45 @@ class TestEvalPerSnr:
                     user, _ = apply_condition(dialogue.channel_a, cond, bank, rng)
                     mixed = StereoDialogue(user, dialogue.channel_b, dialogue.vad_a, dialogue.vad_b)
                 ref_prov.append((item_id, cond, seed))
-                windows += slice_windows(dialogue_frames(mixed), 20, 20, dedupe=True)
-            ref_table[snr] = training._eval_loss(params, cfg, windows).vap
+                batches.append(dialogue_frames(mixed))
+            ref_table[snr] = training._eval_loss(params, cfg, batches).vap
 
         calls = []
         extract = training.extract_features
         monkeypatch.setattr(training, "extract_features", lambda w: calls.append(1) or extract(w))
-        table, prov = eval_per_snr(params, items, cfg, bank, snr_list=snrs, seed=seed)
+        (table,), prov = eval_per_snr([(params, cfg)], items, bank, snr_list=snrs, seed=seed)
         assert table == ref_table
         assert prov == ref_prov
         assert len(calls) == 2 * len(items) + 2 * len(items)  # 2 per item, 1 per noisy row
+
+    def test_models_share_the_noisy_rows(self, corpus, monkeypatch):
+        # two models scored in one call give exactly their one-model tables,
+        # for the feature extraction and noise mixing of one model
+        small = ModelConfig(context_frames=20, cross_layers=2)
+        models = [(init_params(ModelConfig(), seed=5), ModelConfig()), (init_params(small, seed=6), small)]
+        bank = synthetic_noise_bank(0)
+        counts = {"extract_features": 0, "apply_condition": 0}
+        for name in counts:
+            fn = getattr(training, name)
+
+            def counted(*args, name=name, fn=fn, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+
+        def run(models):
+            for name in counts:
+                counts[name] = 0
+            tables, prov = eval_per_snr(models, corpus[:4], bank, seed=2)
+            return tables, prov, dict(counts)
+
+        singles = [run([model]) for model in models]
+        tables, prov, calls = run(models)
+        assert tables == [t for (t,), _, _ in singles]
+        assert all(prov == p for _, p, _ in singles)
+        assert all(calls == c for _, _, c in singles)
+        assert calls == {"extract_features": 4 * 2 + 4 * 4, "apply_condition": 4 * 4}
 
 
 class TestCheckpointIO:

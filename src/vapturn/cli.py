@@ -48,6 +48,7 @@ from .streaming import StreamContext, run_stream
 from .training import (
     AugmentConfig,
     CheckpointError,
+    check_schedule,
     eval_per_snr,
     fit,
     load_checkpoint,
@@ -256,6 +257,8 @@ def cmd_train(resolved: dict, file_cfg: dict) -> int:
         snr_set=_parse_snr_tokens(resolved["train_snrs"]),
         zero_robot_prob=resolved["zero_robot_prob"],
     )
+    schedule = {key: resolved[key] for key in ("epochs", "lr", "lr_decay", "batch_size", "window_stride")}
+    _config(check_schedule, **schedule)
     data = load_dataset(resolved["data"])
     bank = _noise_bank(resolved) if resolved["mode"] == "mc" else None
     out = Path(resolved["out"])
@@ -265,11 +268,7 @@ def cmd_train(resolved: dict, file_cfg: dict) -> int:
         data["train"],
         data["valid"],
         cfg,
-        epochs=resolved["epochs"],
-        lr=resolved["lr"],
-        lr_decay=resolved["lr_decay"],
-        batch_size=resolved["batch_size"],
-        window_stride=resolved["window_stride"],
+        **schedule,
         augment=augment,
         bank=bank,
         seed=resolved["seed"],

@@ -47,8 +47,8 @@ class EmptyDatasetError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A file that is not a checkpoint this version can load, or whose tensors
-    disagree with its own stored config."""
+    """A file that is not a checkpoint this version can load, whose tensors
+    disagree with its own stored config, or that holds NaN or inf."""
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,18 @@ def _clip_gradients(grads: dict, max_norm: float) -> float:
     return total
 
 
+def check_schedule(epochs: int, lr: float, lr_decay: float, batch_size: int, window_stride: int) -> None:
+    """Raise ValueError for a schedule fit cannot follow: no epoch, a step
+    that is not downhill, a growing step size, or an empty batch or stride."""
+    if epochs < 1 or batch_size < 1 or window_stride < 1:
+        raise ValueError(
+            f"epochs, batch_size and window_stride must be >= 1, "
+            f"got {epochs}, {batch_size}, {window_stride}"
+        )
+    if not lr > 0 or not lr_decay >= 0:
+        raise ValueError(f"lr must be > 0 and lr_decay >= 0, got {lr}, {lr_decay}")
+
+
 def fit(
     train_items,
     valid_items,
@@ -228,6 +240,7 @@ def fit(
     pre-training evaluation; training rows report the running loss over the
     augmented batches seen that epoch. Fully deterministic for a fixed seed.
     """
+    check_schedule(epochs, lr, lr_decay, batch_size, window_stride)
     train_items = list(train_items)
     valid_items = list(valid_items)
     if not train_items or not valid_items:
@@ -350,7 +363,7 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
 
     Raises CheckpointError unless the file exists and holds a supported
     checkpoint whose tensor names and shapes are exactly those init_params
-    builds for its config.
+    builds for its config, and whose values are all finite.
     """
     try:
         with np.load(path) as z:
@@ -377,6 +390,8 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
             problems.append(f"{k} has shape {params[k].shape}, config needs {expected[k]}")
     if problems:
         raise CheckpointError(f"{path}: tensors disagree with the stored config: " + "; ".join(problems))
+    if nonfinite := sorted(k for k, v in params.items() if not np.isfinite(v).all()):
+        raise CheckpointError(f"{path}: non-finite values in tensors {nonfinite}")
     return params, cfg
 
 

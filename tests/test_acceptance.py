@@ -2,7 +2,8 @@
 
 Heavy resources (the 200-dialogue corpus, the two 50-epoch trainings, the
 240-turn latency simulation) are session-scoped fixtures shared by the checks
-that need them. Run with `pytest tests/test_acceptance.py -v -s` to see one
+that need them, built by the vapturn.experiment stages that
+scripts/run_experiments.py also runs. Run with `pytest tests/test_acceptance.py -v -s` to see one
 PASS line per criterion; runtime is dominated by the two trainings.
 """
 
@@ -31,17 +32,10 @@ from vapturn.model import (
     loss,
 )
 from vapturn.noise import mix_at_snr, synthetic_noise_bank
-from vapturn.simulate import (
-    DialogueScript,
-    compare_robot_response,
-    generate_scripted_dialogue,
-    run_session,
-    session_scripts,
-    summarize,
-)
-from vapturn.stats import SampleDist
+from vapturn.experiment import make_corpus, session_records, snr_tables, train_pair
+from vapturn.simulate import compare_robot_response, summarize
 from vapturn.streaming import run_stream
-from vapturn.training import AugmentConfig, eval_per_snr, evaluate_items, fit
+from vapturn.training import evaluate_items
 
 LN256 = math.log(N_STATES)
 
@@ -57,12 +51,7 @@ def report(num: int, detail: str) -> None:
 @pytest.fixture(scope="session")
 def corpus():
     """200 synthetic dialogues split 160/20/20."""
-    script = DialogueScript(
-        n_turns=2, user_reaction_s=SampleDist("normal", 1.2, 0.4), tail_s=2.2
-    )
-    scripts = session_scripts(200, script, seed=20)
-    items = [(f"d{i}", generate_scripted_dialogue(s).stereo) for i, s in enumerate(scripts)]
-    return {"train": items[:160], "valid": items[160:180], "test": items[180:]}
+    return make_corpus()
 
 
 @pytest.fixture(scope="session")
@@ -78,39 +67,13 @@ def noise_bank():
 @pytest.fixture(scope="session")
 def trained(corpus, model_cfg, noise_bank):
     """Paired-seed clean and multi-condition trainings, 50 epochs each."""
-    out = {}
-    for mode in ("mc", "clean"):
-        t0 = time.perf_counter()
-        params, history = fit(
-            corpus["train"],
-            corpus["valid"],
-            model_cfg,
-            epochs=50,
-            lr=0.3,
-            lr_decay=0.02,
-            augment=AugmentConfig(mode=mode),
-            bank=noise_bank if mode == "mc" else None,
-            seed=0,
-        )
-        out[mode] = {
-            "params": params,
-            "history": history,
-            "train_s": time.perf_counter() - t0,
-        }
-    return out
+    return train_pair(corpus, model_cfg, noise_bank)
 
 
 @pytest.fixture(scope="session")
 def latency_sim(trained, model_cfg):
     """240 simulated turns under the hybrid and cloud-only policies, paired seeds."""
-    params = trained["mc"]["params"]
-    hybrid, stt = [], []
-    for i, script in enumerate(session_scripts(40, DialogueScript(n_turns=6), seed=777)):
-        dialogue = generate_scripted_dialogue(script)
-        seed = 9000 + i
-        hybrid.extend(run_session(dialogue, "hybrid", params=params, model_cfg=model_cfg, seed=seed))
-        stt.extend(run_session(dialogue, "stt", seed=seed))
-    return {"hybrid": hybrid, "stt": stt}
+    return session_records(trained["mc"]["params"], model_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +200,7 @@ def test_c06_training_effectiveness(trained):
 
 @pytest.mark.slow
 def test_c07_noise_robustness_ordering(trained, corpus, model_cfg, noise_bank):
-    modes = ("mc", "clean")
-    models = [(trained[mode]["params"], model_cfg) for mode in modes]
-    tables = dict(zip(modes, eval_per_snr(models, corpus["test"], noise_bank, seed=5)[0]))
+    tables = snr_tables(trained, corpus, model_cfg, noise_bank)
     inf = math.inf
     mc_deg = tables["mc"][5.0] - tables["mc"][inf]
     clean_deg = tables["clean"][5.0] - tables["clean"][inf]
@@ -311,7 +272,8 @@ def test_c10_latency_ordering(latency_sim):
     vap_subset = [r for r in hybrid if r.source == SOURCE_VAP]
     assert vap_subset
     mean_stt = summarize(stt).robot["mean"]
-    mean_hybrid = summarize(hybrid).robot["mean"]
+    hybrid_stats = summarize(hybrid)
+    mean_hybrid = hybrid_stats.robot["mean"]
     mean_vap = summarize(vap_subset).robot["mean"]
     assert mean_stt > mean_hybrid > mean_vap
     for h, s in zip(hybrid, stt):
@@ -320,7 +282,8 @@ def test_c10_latency_ordering(latency_sim):
     assert result.p_value < 0.01
     report(10, f"{len(hybrid)} turns: means stt {mean_stt:.3f} > hybrid {mean_hybrid:.3f} "
                f"> vap-decided {mean_vap:.3f}; per-turn dominance exact; "
-               f"rank-sum p = {result.p_value:.2e}")
+               f"rank-sum p = {result.p_value:.2e}; premature hybrid decisions "
+               f"{hybrid_stats.n_premature}/{len(hybrid)} ({hybrid_stats.n_premature / len(hybrid):.3f})")
 
 
 @pytest.mark.slow

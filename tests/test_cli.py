@@ -335,6 +335,13 @@ class TestOptionTable:
             ("simulate", {"script": [1]}, []),
             ("synth-data", {"script": {"user_reaction_s": {"family": "normal", "mean_s": True}}}, []),
             ("synth-data", {"script": {"lead_in_s": [True, 2]}}, []),
+            # a training schedule fit cannot follow
+            ("train", {}, ["--epochs", "0"]),
+            ("train", {}, ["--lr", "0"]),
+            ("train", {}, ["--lr", "-1"]),
+            ("train", {}, ["--lr-decay", "-0.5"]),
+            ("train", {}, ["--batch-size", "0"]),
+            ("train", {}, ["--window-stride", "0"]),
         ],
     )
     def test_rejected_value_exits_2_before_work(self, workspace, tmp_path, command, config, flags):

@@ -1,7 +1,6 @@
 """Smoke tests for scripts/: an API change that breaks a script fails here."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -14,17 +13,14 @@ def _load(name):
     return module
 
 
-def test_run_experiments_imports():
-    # the full experiment trains two models for minutes, so only its
-    # imports of the library are checked here
-    assert callable(_load("run_experiments").main)
-
-
-def test_tune_corpus_runs(monkeypatch, capsys):
-    module = _load("tune_corpus")
-    argv = ["tune_corpus.py", "--n-train", "10", "--epochs", "1", "--n-sim", "1"]
-    monkeypatch.setattr(sys, "argv", argv)
-    module.main()
+def test_run_experiments_runs(capsys):
+    _load("run_experiments").main(["--n-dialogues", "10", "--epochs", "1", "--n-sessions", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("train ") and "valid_vap" in lines[0]
-    assert lines[1].startswith("sim ") and "fraction=" in lines[1]
+    assert [line.split()[0] for line in lines] == [
+        "corpus", "mc:", "clean:", "eval", "eval", "eval", "deg", "sim", "means:", "user", "TOTAL",
+    ]
+    assert lines[0].startswith("corpus 10 dlgs")
+    assert "valid_vap" in lines[1] and "valid_vap" in lines[2]
+    assert lines[3].startswith("eval mc: cleandB=") and lines[4].startswith("eval clean: cleandB=")
+    assert "turns=6 " in lines[7] and "premature=" in lines[7]
+    assert "paired_dominance=True" in lines[8]

@@ -160,6 +160,15 @@ class TestFit:
                 seed=3,
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epochs", 0), ("lr", 0.0), ("lr", math.nan), ("lr_decay", -0.1), ("batch_size", 0), ("window_stride", 0)],
+    )
+    def test_rejects_schedule_it_cannot_follow(self, corpus, key, value):
+        kwargs = {"epochs": 1, key: value}
+        with pytest.raises(ValueError, match=key):
+            fit(corpus[:6], corpus[6:], ModelConfig(), augment=AugmentConfig(mode="clean"), **kwargs)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
             fit([], [], ModelConfig(), augment=AugmentConfig(mode="clean"))
@@ -285,7 +294,7 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("fault", ["missing", "extra", "shape", "other_dim"])
+    @pytest.mark.parametrize("fault", ["missing", "extra", "shape", "other_dim", "nonfinite"])
     def test_rejects_tensors_that_disagree_with_config(self, tmp_path, fault):
         cfg = ModelConfig(model_dim=16, heads=2)
         params = init_params(cfg, seed=7)
@@ -295,6 +304,8 @@ class TestCheckpointIO:
             params["x.c.0.attn.Wq"] = np.zeros((16, 16))
         elif fault == "shape":
             params["in.W"] = params["in.W"][:, :8]
+        elif fault == "nonfinite":
+            params["in.W"][0, 0] = np.nan
         else:  # a whole model_dim=32 tensor set stored under a model_dim=16 config
             params = init_params(ModelConfig(model_dim=32, heads=2), seed=7)
         path = tmp_path / "ckpt.npz"

@@ -407,12 +407,13 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
     stats_blocks = {}
     for policy in policies:
         records = all_records[policy]
-        if not records:
-            print(f"policy {policy}: no records", file=sys.stderr)
-            continue
+        # written even when empty: a policy that decided no turn was still run
         with open(out / f"records_{policy}.jsonl", "w") as fh:
             for i, rec in records:
                 fh.write(json.dumps({"dialogue": i, **rec.to_json_dict()}, sort_keys=True) + "\n")
+        if not records:
+            print(f"policy {policy}: no records", file=sys.stderr)
+            continue
         stats = summarize([rec for _, rec in records])
         stats_blocks[policy] = stats.to_json_dict()
         with open(out / f"hist_{policy}.csv", "w", newline="") as fh:
@@ -471,6 +472,8 @@ def cmd_stream(resolved: dict, file_cfg: dict) -> int:
     params, cfg = load_checkpoint(resolved["checkpoint"])
     wav_a = load_wav(resolved["wav"])
     wav_b = load_wav(resolved["robot_wav"]) if resolved["robot_wav"] else None
+    if wav_b is not None and len(wav_b) != len(wav_a):
+        raise CliConfigError(f"--robot-wav has {len(wav_b)} samples, --wav has {len(wav_a)}")
     ctx = StreamContext(params, cfg)
     sink = sys.stdout if resolved["out"] == "-" else open(resolved["out"], "w")
     compute = []

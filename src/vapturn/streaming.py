@@ -1,10 +1,14 @@
 """Real-time inference: 5 s rolling context, one prediction tick per 100 ms of audio.
 
-Each tick runs the forward pass over the buffered window, which makes
-streaming output equal an offline pass over the same window by construction
-and keeps results invariant to how the audio was chunked. Only the newest
-row's prediction is used, so the last cross layer and the heads run on that
-row alone. replay computes the same ticks for a whole recording in batches.
+Each tick runs the forward pass over the features of the zero-padded trailing
+5 s window, so streaming output equals an offline pass over that window and
+does not depend on how the audio was chunked. Row j of the window ending at
+hop k is the 400 ms frame ending at hop k - context_frames + 1 + j, keeping
+the min(j + 1, 4) hops of it inside the window and zeros before them. So each
+hop has 4 rows, computed once, and a window is one fixed gather over its
+hops' rows: the tick keeps them in a ring, replay computes them for a whole
+recording. Only the newest row's prediction is used, so the last cross layer
+and the heads run on that row alone.
 
 The deployed engine hears the user with the robot channel zeroed. When every
 sample of the robot's 5 s window is a digital zero (the last context_frames
@@ -27,14 +31,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Waveform
 from .codebook import entropy_nats, p_now_pair
-from .features import HOP_SAMPLES, WINDOW_SAMPLES, _frame_features, extract_features, silent_features
+from .features import HOP_SAMPLES, N_MELS, WINDOW_SAMPLES, _frame_features, silent_features
 
-# forward is not called here; it stays importable as vapturn.streaming.forward,
-# a name perfbench's traced run wraps
+# extract_features and forward are not called here; they stay importable as
+# vapturn.streaming.extract_features and .forward, names perfbench's traced run wraps
+from .features import extract_features  # noqa: F401
 from .model import ModelConfig, encode_channel, forward, forward_last  # noqa: F401
 
 TICK_PERIOD_S = 0.1
-_PAD_FRAMES = WINDOW_SAMPLES // HOP_SAMPLES - 1
+# a hop's rows: its 400 ms frame keeping the samples _KEEP[kind] marks, its last kind + 1 hops
+_KINDS = WINDOW_SAMPLES // HOP_SAMPLES
+_KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - np.arange(_KINDS))[:, None] * HOP_SAMPLES
 # windows per replay forward call. On a 54 s recording (2-vCPU VM, 1 BLAS
 # thread) 16, 32 and 64 ran equally fast, 128 about 5 % slower, while the
 # block's transient memory grows with its size (replay's peak 43 MB at 32,
@@ -110,6 +117,21 @@ def _frame_result(clock, p_user, p_robot, vad_row, entropy, compute_ms) -> Frame
     )
 
 
+def _frame_rows(frames: np.ndarray) -> np.ndarray:
+    """(n, _KINDS, N_MELS) rows of (n, WINDOW_SAMPLES) frames: kind m is the
+    log-mel of the frame with all but its last m + 1 hops zeroed."""
+    kept = np.where(_KEEP, frames[:, None], 0.0).reshape(-1, WINDOW_SAMPLES)
+    return _frame_features(kept).reshape(len(frames), _KINDS, N_MELS)
+
+
+def _windows(rows: np.ndarray, oldest, ctx: int) -> np.ndarray:
+    """(len(oldest), ctx, N_MELS) windows from (hops, _KINDS, N_MELS) per-hop
+    rows: row j of a window is kind min(j, _KINDS - 1) of hop oldest + j.
+    Hops are taken modulo len(rows), so rows may be a ring."""
+    hops = (np.asarray(oldest)[:, None] + np.arange(ctx)) % len(rows)
+    return rows[hops, np.minimum(np.arange(ctx), _KINDS - 1)]
+
+
 def _silent_robot_encoding(params: dict, cfg: ModelConfig) -> np.ndarray:
     """Robot encoding (1, context_frames, model_dim) of a context window of
     digital zeros: what every all-zero robot window encodes to."""
@@ -117,7 +139,7 @@ def _silent_robot_encoding(params: dict, cfg: ModelConfig) -> np.ndarray:
 
 
 class StreamContext:
-    """Single-dialogue streaming state: rolling audio window plus a tick clock.
+    """Single-dialogue streaming state: rolling context rows plus a tick clock.
 
     Not safe for concurrent mutation; producer and ticker must be externally
     serialized. Emitted FrameResults are immutable and freely shareable.
@@ -126,7 +148,6 @@ class StreamContext:
     def __init__(self, params: dict | None, cfg: ModelConfig):
         self.params = params
         self.cfg = cfg
-        self.capacity = cfg.context_frames * HOP_SAMPLES
         # robot encoding of the silent window, and the params it was made with
         self._silent_enc = None
         self._silent_enc_params = None
@@ -177,19 +198,13 @@ class StreamContext:
     def tick_due(self) -> bool:
         return self.samples_pending >= HOP_SAMPLES
 
-    def _window_features(self, window: np.ndarray, cached: np.ndarray) -> np.ndarray:
-        """Features of the current window, reusing rows from the previous tick.
-
-        After a one-hop shift, window rows 3..48 equal the previous rows 4..49
-        sample-for-sample; only the zero-pad-affected head rows and the newest
-        row see new audio, so those are the only ones recomputed. The newest
-        row is the features of the window's last 400 ms frame.
-        """
-        if self.capacity < WINDOW_SAMPLES + HOP_SAMPLES:
-            return extract_features(window)
-        head = extract_features(window[: _PAD_FRAMES * HOP_SAMPLES])
-        tail = _frame_features(window[None, -WINDOW_SAMPLES:])
-        return np.concatenate([head, cached[_PAD_FRAMES + 1 :], tail])
+    def _roll_in(self, c: int, hop: np.ndarray) -> None:
+        """Shift hop into channel c's 400 ms tail and store the rows of the
+        tail's frame in the ring slot of the newest hop."""
+        tail = self._tail[c]
+        tail[:-HOP_SAMPLES] = tail[HOP_SAMPLES:]
+        tail[-HOP_SAMPLES:] = hop
+        self._rows[c, self.clock % self.cfg.context_frames] = _frame_rows(tail[None])[0]
 
     def _cached_silent_encoding(self) -> np.ndarray:
         """_silent_robot_encoding, made again when self.params is rebound to
@@ -208,23 +223,24 @@ class StreamContext:
             return None
         t0 = time.perf_counter()
         hop = self._take_hop()
-        self._window_a = np.concatenate([self._window_a[HOP_SAMPLES:], hop[0]])
         self._silent_hops = 0 if hop[1].any() else self._silent_hops + 1
         self.clock += 1
-        feats_a = self._window_features(self._window_a, self._feat_a)
-        self._feat_a = feats_a
-        if self._silent_hops >= self.cfg.context_frames:
+        ctx = self.cfg.context_frames
+        self._roll_in(0, hop[0])
+        # a hop's rows are all silent once the _KINDS hops of its frame are
+        # zero, so after ctx + _KINDS - 1 zero hops the robot's tail is zeros
+        # and every ring slot silent, and rolling in more zeros changes neither
+        if self._silent_hops < ctx + _KINDS:
+            self._roll_in(1, hop[1])
+        # the ring slot of hop h is h % ctx, so the window's oldest hop is in slot clock + 1
+        oldest = [self.clock + 1]
+        if self._silent_hops >= ctx:
             # every sample of the robot window is zero, so its encoding is the
-            # stored one, exactly. The robot window and features stay those of
-            # the last tick before the silence reached context_frames hops: all
-            # of that window but its oldest hop is zero, and the next roll
-            # drops that hop, so they are exact again when the robot speaks
+            # stored one, exactly
             enc_b = self._cached_silent_encoding()
         else:
-            self._window_b = np.concatenate([self._window_b[HOP_SAMPLES:], hop[1]])
-            self._feat_b = self._window_features(self._window_b, self._feat_b)
-            enc_b = encode_channel(self.params, self._feat_b[None], self.cfg, "b")
-        out = forward_last(self.params, feats_a[None], enc_b, self.cfg)
+            enc_b = encode_channel(self.params, _windows(self._rows[1], oldest, ctx), self.cfg, "b")
+        out = forward_last(self.params, _windows(self._rows[0], oldest, ctx), enc_b, self.cfg)
         p_user, p_robot = p_now_pair(out.vap[0])
         entropy = entropy_nats(out.vap[0])
         compute_ms = (time.perf_counter() - t0) * 1000.0
@@ -237,14 +253,14 @@ class StreamContext:
         return out
 
     def reset(self) -> None:
-        """Back to a fresh context: zeroed window, empty queue, clock at 0."""
-        self._window_a = np.zeros(self.capacity)
-        self._window_b = np.zeros(self.capacity)
-        # the window starts as silence, so its cached features start as the
-        # features of silence and the first tick reuses them like any other
-        self._feat_a = self._feat_b = silent_features(self.cfg.context_frames)
-        # consecutive all-zero robot hops; the fresh window counts as all zero
-        self._silent_hops = self.cfg.context_frames
+        """Back to a fresh context: silent window, empty queue, clock at 0."""
+        ctx = self.cfg.context_frames
+        # the last 400 ms of each channel, and the rows of its last ctx hops
+        self._tail = np.zeros((2, WINDOW_SAMPLES))
+        self._rows = np.broadcast_to(silent_features(1), (2, ctx, _KINDS, N_MELS)).copy()
+        # consecutive all-zero robot hops; the fresh context counts as silent
+        # long enough to leave the robot's tail and ring alone
+        self._silent_hops = ctx + _KINDS
         # queued audio of both channels is _pending[:, _start:_end]
         self._pending = np.empty((2, 2 * HOP_SAMPLES))
         self._start = 0
@@ -278,14 +294,13 @@ def run_stream(
 def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None) -> list[FrameResult]:
     """The ticks run_stream emits for the same audio, computed in batches.
 
-    Results match run_stream within float rounding (tested to 1e-9). The
-    log-mel rows that no window's zero padding touches are computed once for
-    the whole recording; each window's padded head rows are recomputed as the
-    tick does, and the windows run through the newest-row forward in blocks of
-    REPLAY_BLOCK. When wav_b is None or all zeros, every window's robot
-    channel is the silent one, so its encoding is computed once and shared by
-    all windows. compute_ms of every result in a block is the block's wall
-    time divided by the windows in it; the one shared feature pass over the
+    Results match run_stream within float rounding (tested to 1e-9). The rows
+    of every frame are computed once for the whole recording, each block of
+    REPLAY_BLOCK windows gathers its rows as the tick does, and the block runs
+    through the newest-row forward. When wav_b is None or all zeros, every
+    window's robot channel is the silent one, so its encoding is computed once
+    and shared by all windows. compute_ms of every result in a block is the
+    block's wall time divided by the windows in it; the one row pass over the
     recording is not in it.
     """
     if params is None:
@@ -299,21 +314,28 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None) -> list[FrameResul
     if n_ticks == 0:
         return []
     ctx = cfg.context_frames
-    # window k (1-based tick) is padded[c][k * HOP : (k + ctx) * HOP]: the
-    # stream's zero-filled context, then the audio up to the tick. A robot
-    # channel of zeros has the silent window's encoding in every window
+    # frame i of a channel is padded[i * HOP : i * HOP + WINDOW_SAMPLES]: the
+    # stream's zero-filled context and the lookback of its oldest frame, then
+    # the audio. It ends at hop i + 2 - ctx, so row j of window k (1-based
+    # tick) is frame k - 1 + j. A robot channel of zeros has the silent
+    # window's encoding in every window
     silent_b = not b.any()
     channels = [a] if silent_b else [a, b]
-    padded = np.zeros((len(channels), (ctx + n_ticks) * HOP_SAMPLES))
-    padded[:, ctx * HOP_SAMPLES :] = [c[: n_ticks * HOP_SAMPLES] for c in channels]
-    body = [_body_features(p) if ctx > _PAD_FRAMES else None for p in padded]
+    pad = (ctx + _KINDS - 2) * HOP_SAMPLES
+    padded = np.zeros((len(channels), pad + n_ticks * HOP_SAMPLES))
+    padded[:, pad:] = [c[: n_ticks * HOP_SAMPLES] for c in channels]
+    step = REPLAY_BLOCK // _KINDS  # frames per row call, to bound the FFT buffers
+    hop_rows = [
+        np.concatenate([_frame_rows(f[i : i + step]) for i in range(0, len(f), step)])
+        for f in sliding_window_view(padded, WINDOW_SAMPLES, axis=1)[:, ::HOP_SAMPLES]
+    ]
     if silent_b:
         enc_b = _silent_robot_encoding(params, cfg)
     results = []
     for first in range(1, n_ticks + 1, REPLAY_BLOCK):
         t0 = time.perf_counter()
         n = min(REPLAY_BLOCK, n_ticks + 1 - first)
-        feats = [_block_features(p, f, first, n, ctx) for p, f in zip(padded, body)]
+        feats = [_windows(r, range(first - 1, first - 1 + n), ctx) for r in hop_rows]
         if not silent_b:
             enc_b = encode_channel(params, feats[1], cfg, "b")
         out = forward_last(params, feats[0], enc_b, cfg)
@@ -324,32 +346,3 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None) -> list[FrameResul
                 _frame_result(first + i, p_user, p_robot, out.vad[i], entropy, compute_ms)
             )
     return results
-
-
-def _body_features(padded: np.ndarray) -> np.ndarray:
-    """Log-mel rows of the frames padded[r * HOP : r * HOP + WINDOW_SAMPLES]
-    of one padded channel; row r is row j of window r + _PAD_FRAMES - j.
-    Computed REPLAY_BLOCK frames at a time to bound the FFT buffers."""
-    frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES]
-    return np.concatenate(
-        [_frame_features(frames[i : i + REPLAY_BLOCK]) for i in range(0, len(frames), REPLAY_BLOCK)]
-    )
-
-
-def _block_features(padded, body, first: int, n: int, ctx: int) -> np.ndarray:
-    """(n, ctx, bands) features of windows first .. first + n - 1 of one channel."""
-    n_head = min(_PAD_FRAMES, ctx)
-    # head row j of window k: the frame whose first _PAD_FRAMES - j hops fall
-    # before the window and read as zeros, as in the tick's window (spans only
-    # grow with j, so the zeros left of each span stay zero)
-    rows = []
-    frames = np.zeros((n, WINDOW_SAMPLES))
-    for j in range(n_head):
-        span = (j + 1) * HOP_SAMPLES
-        seg = padded[first * HOP_SAMPLES : (first + n + j) * HOP_SAMPLES]
-        frames[:, WINDOW_SAMPLES - span :] = sliding_window_view(seg, span)[::HOP_SAMPLES]
-        rows.append(_frame_features(frames)[:, None])
-    if ctx > n_head:
-        shared = body[first : first + n + ctx - _PAD_FRAMES - 1]
-        rows.append(sliding_window_view(shared, ctx - _PAD_FRAMES, axis=0).transpose(0, 2, 1))
-    return np.concatenate(rows, axis=1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vapturn.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
-from vapturn.audio import load_wav
+from vapturn.audio import Waveform, load_wav, save_wav
 from vapturn.model import ModelConfig, init_params
 from vapturn.training import read_history_csv, save_checkpoint
 
@@ -207,6 +207,22 @@ class TestSimulate:
             outs.append((out / "stats.json").read_text())
         assert outs[0] == outs[1]
 
+    def test_detector_that_never_fires_writes_empty_records(self, tmp_path, capsys):
+        ckpt = tmp_path / "untrained.npz"
+        save_checkpoint(ckpt, init_params(ModelConfig()), ModelConfig())
+        out = tmp_path / "sim4"
+        assert main([
+            "simulate", "--out", str(out), "--policies", "stt,hybrid,vap",
+            "--checkpoint", str(ckpt), "--theta", "0.6",
+            "--n-dialogues", "2", "--turns", "2", "--seed", "6",
+        ]) == EXIT_OK
+        assert "policy vap: no records" in capsys.readouterr().err
+        assert (out / "records_vap.jsonl").read_text() == ""
+        assert not (out / "hist_vap.csv").exists()
+        stats = json.loads((out / "stats.json").read_text())
+        assert set(stats["policies"]) == {"stt", "hybrid"}
+        assert set(stats["comparisons"]) == {"hybrid_vs_stt"}
+
     def test_model_policy_requires_checkpoint(self, tmp_path):
         assert main([
             "simulate", "--out", str(tmp_path / "s3"), "--policies", "hybrid",
@@ -249,6 +265,22 @@ class TestStream:
             np.savez(ckpt, __meta__=np.array(meta), **init_params(cfg))
         wav = next(workspace["data"].glob("*_user.wav"))
         assert main(["stream", "--checkpoint", str(ckpt), "--wav", str(wav)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("robot_s", [1.03, 3.0])
+    def test_robot_wav_of_other_length_exits_2_before_output(self, tmp_path, capsys, robot_s):
+        ckpt = tmp_path / "untrained.npz"
+        save_checkpoint(ckpt, init_params(ModelConfig()), ModelConfig())
+        rng = np.random.default_rng(0)
+        for name, seconds in (("user", 2.0), ("robot", robot_s)):
+            noise = 0.1 * np.tanh(rng.standard_normal(int(seconds * 16000)))
+            save_wav(Waveform(noise), tmp_path / f"{name}.wav")
+        args = ["stream", "--checkpoint", str(ckpt), "--wav", str(tmp_path / "user.wav"),
+                "--robot-wav", str(tmp_path / "robot.wav")]
+        out = tmp_path / "frames.jsonl"
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
     def test_missing_wav_config_error(self, workspace):
         assert main([

@@ -1,9 +1,14 @@
-"""Smoke tests for scripts/: an API change that breaks a script fails here."""
+"""Smoke tests for scripts/ and perfbench/: an API change that breaks a
+script or a name the traced benchmark wraps fails here."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from vapturn import features, model, streaming
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -24,3 +29,17 @@ def test_run_experiments_runs(capsys):
     assert lines[3].startswith("eval mc: cleandB=") and lines[4].startswith("eval clean: cleandB=")
     assert "turns=6 " in lines[7] and "premature=" in lines[7]
     assert "paired_dominance=True" in lines[8]
+
+
+def test_traced_benchmark_wraps_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    layers = importlib.import_module("layers")
+    tracer = spans.Tracer()
+    try:
+        layers.instrument(tracer)
+        assert streaming.extract_features is not features.extract_features
+    finally:
+        tracer.restore()
+    assert streaming.extract_features is features.extract_features
+    assert streaming.forward is model.forward

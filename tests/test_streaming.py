@@ -276,6 +276,7 @@ SILENT_CONFIGS = {
     "default": ModelConfig(),
     "cross2": ModelConfig(cross_layers=2),
     "context4": ModelConfig(context_frames=4),
+    "context3": ModelConfig(context_frames=3),
 }
 
 
@@ -372,7 +373,11 @@ class TestNonFiniteAudio:
             replay(params, cfg, audio, poisoned)
 
 
-REPLAY_CONFIGS = (ModelConfig(), ModelConfig(context_frames=6, cross_layers=2))
+REPLAY_CONFIGS = (
+    ModelConfig(),
+    ModelConfig(context_frames=6, cross_layers=2),
+    ModelConfig(context_frames=3),
+)
 DEFAULT_CFG = REPLAY_CONFIGS[0]
 
 
@@ -421,3 +426,66 @@ class TestReplay:
         for run in (run_stream, replay):
             with pytest.raises(MismatchedChunkError):
                 run(params, cfg, np.zeros(n_a), np.zeros(n_b))
+
+
+def _record_model_inputs(monkeypatch) -> tuple[list, list]:
+    """Record the user features of each forward_last call, and the robot
+    features of each encode_channel call with the number of forward_last
+    calls made before it."""
+    user, robot = [], []
+    forward_last, encode_channel = streaming.forward_last, streaming.encode_channel
+
+    def record_forward(params, feats_a, enc_b, cfg):
+        user.append(np.array(feats_a))
+        return forward_last(params, feats_a, enc_b, cfg)
+
+    def record_encode(params, feats, cfg, channel):
+        robot.append((len(user), np.array(feats)))
+        return encode_channel(params, feats, cfg, channel)
+
+    monkeypatch.setattr(streaming, "forward_last", record_forward)
+    monkeypatch.setattr(streaming, "encode_channel", record_encode)
+    return user, robot
+
+
+class TestWindowRule:
+    """Every window the tick and replay feed the model is extract_features of
+    the zero-padded trailing context window."""
+
+    @pytest.mark.parametrize("robot", ["silent", "burst"])
+    @pytest.mark.parametrize("context_frames", [1, 3, 4, 6, 50])
+    def test_model_inputs_are_padded_window_features(self, context_frames, robot, monkeypatch):
+        cfg = ModelConfig(context_frames=context_frames)
+        params = init_params(cfg, seed=2)
+        audio = _audio(8.0, seed=26)
+        # the robot is silent for 57 hops between bursts, long enough that a
+        # 50-hop stream stops and restarts the robot's rows
+        bursts = [] if robot == "silent" else [(0.5, 0.2), (6.5, 0.3)]
+        robot_audio = _burst_robot(audio.size, bursts, seed=27)
+        cap = cfg.context_samples
+        padded = {"a": np.concatenate([np.zeros(cap), audio]),
+                  "b": np.concatenate([np.zeros(cap), robot_audio])}
+
+        def oracle(channel, tick):
+            return extract_features(padded[channel][tick * HOP_SAMPLES : tick * HOP_SAMPLES + cap])
+
+        user, robot_calls = _record_model_inputs(monkeypatch)
+        for run in (run_stream, replay):
+            user.clear()
+            robot_calls.clear()
+            run(params, cfg, audio, robot_audio)
+            windows = np.concatenate(user)
+            assert len(windows) == 80
+            for tick, window in enumerate(windows, start=1):
+                assert np.abs(window - oracle("a", tick)).max() <= 1e-12
+            # robot windows encoded after i forward_last calls start at tick
+            # i * block + 1; a tick with none reuses the silent encoding, so
+            # its robot window must be all zeros
+            block = streaming.REPLAY_BLOCK if run is replay else 1
+            encoded = set()
+            for calls_before, feats in robot_calls:
+                for tick, window in enumerate(feats, start=calls_before * block + 1):
+                    assert np.abs(window - oracle("b", tick)).max() <= 1e-12
+                    encoded.add(tick)
+            for tick in set(range(1, 81)) - encoded:
+                assert not padded["b"][tick * HOP_SAMPLES : tick * HOP_SAMPLES + cap].any()

@@ -61,7 +61,7 @@ def main(argv=None):
     records = session_records(trained["mc"]["params"], cfg, n_sessions=args.n_sessions)
     hybrid, stt = records["hybrid"], records["stt"]
     h, s_ = summarize(hybrid), summarize(stt)
-    vap_sub = [r for r in hybrid if r.source == "vap"]
+    vap_sub = records["vap"]
     vap_mean = summarize(vap_sub).robot["mean"] if vap_sub else math.nan
     cmp_res = compare_robot_response(stt, hybrid)
     paired = all(a.robot_response_s <= b.robot_response_s + 1e-12 for a, b in zip(hybrid, stt))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -32,11 +33,8 @@ from .features import HOP_SAMPLES
 from .model import ModelConfig, init_params
 from .noise import DatasetSplitError, NoiseBank, synthetic_noise_bank, write_conditions_jsonl
 from .simulate import (
-    POLICY_HYBRID,
-    POLICY_STT,
-    POLICY_VAP,
+    POLICIES,
     DialogueScript,
-    SOURCE_VAP,
     compare_robot_response,
     generate_scripted_dialogue,
     run_session,
@@ -133,7 +131,12 @@ def _load_config_file(path) -> dict:
 
 def _resolve(args, file_cfg: dict, options: dict) -> dict:
     """Flag > config file > default, per key. A config-file value is checked
-    even where a flag overrides it."""
+    even where a flag overrides it. A config-file key that no command
+    declares is an error; one another command declares is left to it, so
+    that one file can configure several commands."""
+    declared = {key for _, table, _ in COMMANDS.values() for key in table} | {"script"}
+    if unknown := sorted(file_cfg.keys() - declared):
+        raise CliConfigError(f"config file has keys no command declares: {unknown}")
     out = {}
     for key, opt in options.items():
         out[key] = _typed(key, opt, file_cfg[key]) if key in file_cfg else opt.default
@@ -297,24 +300,26 @@ EVAL_OPTIONS = {
 
 
 def cmd_eval(resolved: dict, file_cfg: dict) -> int:
+    paths = resolved["checkpoint"]
+    # a checkpoint's column is named after its file and its directory
+    names = [Path(path).stem + "_" + Path(path).parent.name for path in paths]
+    if len(set(names)) < len(names):
+        raise CliConfigError(f"checkpoints {paths} give clashing eval.csv columns {names}")
     snr_list = _parse_snr_tokens(resolved["snrs"])
     data = load_dataset(resolved["data"])
     items = data[resolved["split"]]
     bank = _noise_bank(resolved)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
-    paths = resolved["checkpoint"]
     tables, provenance = eval_per_snr(
         [load_checkpoint(path) for path in paths], items, bank, snr_list=snr_list, seed=resolved["seed"]
     )
-    columns = {Path(path).stem + "_" + Path(path).parent.name: t for path, t in zip(paths, tables)}
-    names = list(columns.keys())
     with open(out / "eval.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr_db"] + names)
         for snr in snr_list:
             label = "clean" if math.isinf(snr) else f"{snr:g}"
-            writer.writerow([label] + [f"{columns[n][snr]:.6f}" for n in names])
+            writer.writerow([label] + [f"{table[snr]:.6f}" for table in tables])
     write_conditions_jsonl(provenance, out / "conditions.jsonl")
     _dump_json(resolved, out / "config.json")
     print(f"wrote {out / 'eval.csv'} ({len(snr_list)} SNR rows x {len(names)} models)")
@@ -343,9 +348,10 @@ SIM_OPTIONS = {
 
 def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
     policies = [p.strip() for p in resolved["policies"].split(",") if p.strip()]
-    for p in policies:
-        if p not in (POLICY_STT, POLICY_HYBRID, POLICY_VAP):
-            raise CliConfigError(f"unknown policy {p!r}")
+    if not policies or len(set(policies)) < len(policies) or not set(policies) <= set(POLICIES):
+        raise CliConfigError(
+            f"--policies must name policies of {POLICIES}, each once, got {resolved['policies']!r}"
+        )
     if resolved["n_dialogues"] < 1:
         raise CliConfigError(f"--n-dialogues must be >= 1, got {resolved['n_dialogues']}")
     vap_cfg = _config(
@@ -364,9 +370,8 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
     script = _script_from(resolved, file_cfg)
     if script.n_turns < 1:
         raise CliConfigError("simulate needs dialogues of at least one turn")
-    needs_model = any(p != POLICY_STT for p in policies)
     params = cfg = None
-    if needs_model:
+    if policies != ["stt"]:
         if not resolved["checkpoint"]:
             raise CliConfigError("policies using the local detector require --checkpoint")
         params, cfg = load_checkpoint(resolved["checkpoint"])
@@ -376,33 +381,19 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    run_policies = [p for p in policies if p != POLICY_VAP]
-    if POLICY_VAP in policies and POLICY_HYBRID not in run_policies:
-        run_policies.append(POLICY_HYBRID)
-    all_records = {}
-    for policy in run_policies:
-        records = []
-        for i, dialogue in enumerate(dialogues):
-            records.extend(
-                (i, rec)
-                for rec in run_session(
-                    dialogue,
-                    policy,
-                    params=params,
-                    model_cfg=cfg,
-                    vap_cfg=vap_cfg,
-                    stt_cfg=stt_cfg,
-                    response_delay_s=resolved["response_delay"],
-                    seed=int(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(500 + i,)).generate_state(1)[0]
-                    ),
-                )
-            )
-        all_records[policy] = records
-    if POLICY_VAP in policies:
-        all_records[POLICY_VAP] = [
-            (i, r) for i, r in all_records[POLICY_HYBRID] if r.source == SOURCE_VAP
-        ]
+    all_records = {policy: [] for policy in policies}
+    for i, dialogue in enumerate(dialogues):
+        session = run_session(
+            dialogue,
+            params=params,
+            model_cfg=cfg,
+            vap_cfg=vap_cfg,
+            stt_cfg=stt_cfg,
+            response_delay_s=resolved["response_delay"],
+            seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(500 + i,)).generate_state(1)[0]),
+        )
+        for policy in policies:
+            all_records[policy].extend((i, rec) for rec in session[policy])
 
     stats_blocks = {}
     for policy in policies:
@@ -421,19 +412,14 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
             writer.writerow(["bin_start_s", "count"])
             writer.writerows(stats.histogram)
     comparisons = {}
-    done = set()
-    for a in policies:
-        for b in policies:
-            if a >= b or (a, b) in done or a not in stats_blocks or b not in stats_blocks:
-                continue
-            done.add((a, b))
-            result = compare_robot_response(
-                [r for _, r in all_records[a]], [r for _, r in all_records[b]]
-            )
-            comparisons[f"{a}_vs_{b}"] = {
-                "u_statistic": result.u_statistic,
-                "p_value": result.p_value,
-            }
+    for a, b in itertools.combinations(sorted(stats_blocks), 2):
+        result = compare_robot_response(
+            [r for _, r in all_records[a]], [r for _, r in all_records[b]]
+        )
+        comparisons[f"{a}_vs_{b}"] = {
+            "u_statistic": result.u_statistic,
+            "p_value": result.p_value,
+        }
     _dump_json({"policies": stats_blocks, "comparisons": comparisons}, out / "stats.json")
     _dump_json(
         {**resolved, "policies": policies, "script": script.to_json_dict()},
@@ -445,7 +431,7 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
             f"over {block['n_turns']} turns"
             + (
                 f", vap fraction {block['vap_source_fraction']:.2f}"
-                if policy != POLICY_STT
+                if policy != "stt"
                 else ""
             )
         )

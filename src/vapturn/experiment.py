@@ -1,9 +1,10 @@
 """The paper's two headline experiments as pipeline stages.
 
 A synthetic corpus, paired clean and multi-condition trainings, their loss
-per SNR row, and paired cloud-only/hybrid session records. Seeds are fixed
-and the default sizes are the ones the acceptance checks assert on; each
-stage is separate so a check that needs only the corpus trains nothing.
+per SNR row, and session records of every policy, paired turn by turn.
+Seeds are fixed and the default sizes are the ones the acceptance checks
+assert on; each stage is separate so a check that needs only the corpus
+trains nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import time
 
 from .model import ModelConfig
 from .noise import NoiseBank
-from .simulate import DialogueScript, generate_scripted_dialogue, run_session, session_scripts
+from .simulate import POLICIES, DialogueScript, generate_scripted_dialogue, run_session, session_scripts
 from .stats import SampleDist
 from .training import AugmentConfig, eval_per_snr, fit
 
@@ -64,11 +65,12 @@ def snr_tables(trained: dict, corpus: dict, cfg: ModelConfig, bank: NoiseBank) -
 
 
 def session_records(params, cfg: ModelConfig, n_sessions: int = N_SESSIONS) -> dict:
-    """Six-turn sessions under the hybrid and cloud-only policies, one shared
-    seed per dialogue so each hybrid turn pairs with its cloud-only turn."""
-    hybrid, stt = [], []
+    """Six-turn sessions, {policy: records} over all of them; each hybrid
+    turn races the same cloud decision as its stt turn."""
+    records = {policy: [] for policy in POLICIES}
     for i, script in enumerate(session_scripts(n_sessions, SESSION_SCRIPT, seed=777)):
         dialogue = generate_scripted_dialogue(script)
-        hybrid.extend(run_session(dialogue, "hybrid", params=params, model_cfg=cfg, seed=9000 + i))
-        stt.extend(run_session(dialogue, "stt", seed=9000 + i))
-    return {"hybrid": hybrid, "stt": stt}
+        session = run_session(dialogue, params=params, model_cfg=cfg, seed=9000 + i)
+        for policy in POLICIES:
+            records[policy].extend(session[policy])
+    return records

@@ -192,10 +192,6 @@ def clone_params(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}
 
 
-def check_finite(params: dict) -> bool:
-    return all(np.isfinite(v).all() for v in params.values())
-
-
 # ---------------------------------------------------------------------------
 # primitives
 

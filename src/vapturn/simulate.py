@@ -33,16 +33,17 @@ from .endpointing import (
     vap_decide,
 )
 from .model import ModelConfig
-from .noise import NoiseBank, Condition, apply_condition, shape_noise
+from .noise import apply_condition, shape_noise  # noqa: F401
 from .stats import SampleDist, describe, histogram_fixed, rank_sum_test
 
-# run_stream is not called here; it stays importable as
-# vapturn.simulate.run_stream, a name perfbench's traced run wraps
+# run_stream and apply_condition are not called here; they stay importable as
+# vapturn.simulate.run_stream and .apply_condition, names perfbench's traced
+# run wraps
 from .streaming import replay, run_stream  # noqa: F401
 
-POLICY_STT = "stt"
-POLICY_HYBRID = "hybrid"
-POLICY_VAP = "vap"
+# stt: the cloud endpointer alone; hybrid: the local detector raced against
+# it; vap: the hybrid turns the local detector decided
+POLICIES = ("stt", "hybrid", "vap")
 
 USER_TILT_DB_PER_OCTAVE = -4.0
 ROBOT_TILT_DB_PER_OCTAVE = 2.0
@@ -58,10 +59,6 @@ HOLD_CUE_S = 0.25
 HOLD_CUE_TILT_DB = 8.0
 AM_RATE_HZ = 4.0
 AM_DEPTH = 0.35
-
-
-class ModelRequiredError(ValueError):
-    pass
 
 
 def _grid(t: float) -> float:
@@ -349,7 +346,6 @@ def _slice_vad(vad: VadTrack, start_s: float, end_s: float) -> VadTrack:
 
 def run_session(
     dialogue: ScriptedDialogue,
-    policy: str,
     *,
     params: dict | None = None,
     model_cfg: ModelConfig | None = None,
@@ -357,34 +353,24 @@ def run_session(
     stt_cfg: SttSimConfig = SttSimConfig(),
     response_delay_s: float = 0.3,
     seed: int = 0,
-    noise_condition: Condition | None = None,
-    bank: NoiseBank | None = None,
-) -> list[ResponseTimeRecord]:
-    """Measure per-turn response gaps for one endpointing policy.
+) -> dict[str, list[ResponseTimeRecord]]:
+    """Race the endpointers once per user turn and measure the response gaps
+    of every policy, as {policy: records}.
 
-    The engine hears the (optionally noise-mixed) user channel with the robot
-    channel zeroed, as deployed. For each user turn the policy's decision is
-    arbitrated, the robot onset is decision + response_delay_s, and the
-    response gap is measured from the labeled true end of the turn (floored at
-    zero; decisions before the true end are flagged premature). The policy
-    is 'stt' (cloud endpointer only) or 'hybrid' (the local detector raced
-    against it); the CLI's 'vap' records are the hybrid turns the local
-    detector decided.
+    Each turn's cloud decision is drawn once. The 'stt' records take it
+    alone. With params, the engine replays the user channel with the robot
+    channel zeroed, as deployed; the 'hybrid' records race the local
+    detector against the same cloud decision, and the 'vap' records are the
+    hybrid turns the local detector decided. Without params only 'stt' is
+    returned and nothing is replayed. The robot onset is decision +
+    response_delay_s, and the response gap is measured from the labeled true
+    end of the turn (floored at zero; decisions before the true end are
+    flagged premature).
     """
-    if policy not in (POLICY_STT, POLICY_HYBRID):
-        raise ValueError(f"policy must be {POLICY_STT!r} or {POLICY_HYBRID!r}, got {policy!r}")
-    needs_model = policy == POLICY_HYBRID
-    if needs_model and (params is None or model_cfg is None):
-        raise ModelRequiredError(f"policy {policy!r} requires trained parameters")
-    user_wave = dialogue.stereo.channel_a
-    if noise_condition is not None and not noise_condition.is_clean:
-        if bank is None:
-            raise ValueError("noise_condition requires a noise bank")
-        mix_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(99,)))
-        user_wave, _ = apply_condition(user_wave, noise_condition, bank, mix_rng)
-    frames = replay(params, model_cfg, user_wave) if needs_model else []
-
-    records = []
+    if (params is None) != (model_cfg is None):
+        raise ValueError("params and model_cfg must be given together")
+    frames = None if params is None else replay(params, model_cfg, dialogue.stereo.channel_a)
+    records = {"stt": []} if frames is None else {"stt": [], "hybrid": []}
     turns = dialogue.turns
     for k, turn in enumerate(turns):
         window_start = turn.user_start_s
@@ -392,28 +378,30 @@ def run_session(
         turn_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
         stt_slice = _slice_vad(dialogue.stereo.vad_a, window_start, window_end)
         stt_t = window_start + stt_decide(stt_slice, stt_cfg, turn_rng)
-        vap_t = None
-        if needs_model:
-            turn_frames = [
-                fr for fr in frames if window_start < fr.timestamp_s <= window_end
-            ]
-            vap_t = vap_decide(turn_frames, vap_cfg)
-        event = arbitrate(vap_t, stt_t, turn.user_end_s)
-        robot_response = max(0.0, event.decision_time_s + response_delay_s - turn.user_end_s)
         user_response = None
         if k + 1 < len(turns):
             user_response = turns[k + 1].user_start_s - turn.robot_end_s
-        records.append(
-            ResponseTimeRecord(
-                turn=k,
-                robot_response_s=robot_response,
-                user_response_s=user_response,
-                source=event.source,
-                decision_time_s=event.decision_time_s,
-                true_end_time_s=turn.user_end_s,
-                premature=event.decision_time_s < turn.user_end_s,
+        # the local detector's decision per raced policy; stt races none
+        vap_decisions = {"stt": None}
+        if frames is not None:
+            turn_frames = [fr for fr in frames if window_start < fr.timestamp_s <= window_end]
+            vap_decisions["hybrid"] = vap_decide(turn_frames, vap_cfg)
+        for policy, vap_t in vap_decisions.items():
+            event = arbitrate(vap_t, stt_t, turn.user_end_s)
+            robot_response = max(0.0, event.decision_time_s + response_delay_s - turn.user_end_s)
+            records[policy].append(
+                ResponseTimeRecord(
+                    turn=k,
+                    robot_response_s=robot_response,
+                    user_response_s=user_response,
+                    source=event.source,
+                    decision_time_s=event.decision_time_s,
+                    true_end_time_s=turn.user_end_s,
+                    premature=event.decision_time_s < turn.user_end_s,
+                )
             )
-        )
+    if frames is not None:
+        records["vap"] = [r for r in records["hybrid"] if r.source == SOURCE_VAP]
     return records
 
 

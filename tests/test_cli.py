@@ -167,6 +167,19 @@ class TestEval:
             "eval", "--data", str(workspace["data"]), "--out", str(tmp_path / "e2"),
         ]) == EXIT_CONFIG
 
+    def test_checkpoints_sharing_a_column_name_exit_2_before_output(self, workspace, tmp_path):
+        # a column is <file stem>_<directory>: both of these are checkpoint_run
+        paths = [tmp_path / side / "run" / "checkpoint.npz" for side in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir(parents=True)
+            save_checkpoint(path, init_params(ModelConfig()), ModelConfig())
+        out = tmp_path / "e3"
+        assert main([
+            "eval", "--data", str(workspace["data"]), "--out", str(out),
+            "--checkpoint", str(paths[0]), "--checkpoint", str(paths[1]),
+        ]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_stt_only_outputs(self, tmp_path):
@@ -222,6 +235,21 @@ class TestSimulate:
         stats = json.loads((out / "stats.json").read_text())
         assert set(stats["policies"]) == {"stt", "hybrid"}
         assert set(stats["comparisons"]) == {"hybrid_vs_stt"}
+
+    def test_vap_alone_writes_the_vap_records_of_all_policies(self, tmp_path):
+        # theta just above the untrained model's p_now_robot, so the detector fires
+        ckpt = tmp_path / "untrained.npz"
+        save_checkpoint(ckpt, init_params(ModelConfig(), seed=2), ModelConfig())
+        records = []
+        for name, policies in (("alone", "vap"), ("all", "stt,hybrid,vap")):
+            out = tmp_path / name
+            assert main([
+                "simulate", "--out", str(out), "--policies", policies,
+                "--checkpoint", str(ckpt), "--theta", "0.502", "--consecutive-k", "2",
+                "--min-user-speech-ms", "0", "--n-dialogues", "2", "--turns", "2", "--seed", "4",
+            ]) == EXIT_OK
+            records.append((out / "records_vap.jsonl").read_text())
+        assert records[0] == records[1] != ""
 
     def test_model_policy_requires_checkpoint(self, tmp_path):
         assert main([
@@ -374,6 +402,13 @@ class TestOptionTable:
             ("train", {}, ["--lr-decay", "-0.5"]),
             ("train", {}, ["--batch-size", "0"]),
             ("train", {}, ["--window-stride", "0"]),
+            # a config-file key no command declares
+            ("train", {"epoch": 1}, []),
+            ("simulate", {"polices": "stt"}, []),
+            # a policy list that names no policy, an unknown one, or one twice
+            ("simulate", {}, ["--policies", "teleport"]),
+            ("simulate", {}, ["--policies", ","]),
+            ("simulate", {}, ["--policies", "stt,stt"]),
         ],
     )
     def test_rejected_value_exits_2_before_work(self, workspace, tmp_path, command, config, flags):

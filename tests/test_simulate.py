@@ -9,7 +9,6 @@ from vapturn.endpointing import SOURCE_STT, SOURCE_VAP, SttSimConfig, VapEndpoin
 from vapturn.model import ModelConfig, init_params
 from vapturn.simulate import (
     DialogueScript,
-    ModelRequiredError,
     ResponseTimeRecord,
     compare_robot_response,
     generate_dialogue,
@@ -118,7 +117,7 @@ class TestRunSession:
         stt_cfg = SttSimConfig(
             silence_threshold_ms=800, latency=SampleDist("constant", 0.0, 0.0)
         )
-        records = run_session(dialogue, "stt", stt_cfg=stt_cfg, response_delay_s=0.3, seed=0)
+        records = run_session(dialogue, stt_cfg=stt_cfg, response_delay_s=0.3, seed=0)["stt"]
         assert len(records) == 3
         for rec in records:
             assert rec.source == SOURCE_STT
@@ -145,25 +144,31 @@ class TestRunSession:
             first_after = (np.floor(end / 0.1 + 1e-9) + 1) * 0.1
             assert decision == pytest.approx(first_after + (k - 1) * 0.1, abs=1e-6)
 
-    def test_policy_requires_model(self, dialogue):
-        with pytest.raises(ModelRequiredError):
-            run_session(dialogue, "hybrid")
+    def test_without_params_only_stt(self, dialogue):
+        assert list(run_session(dialogue, seed=3)) == ["stt"]
+        with pytest.raises(ValueError, match="together"):
+            run_session(dialogue, model_cfg=ModelConfig())
 
-    def test_unknown_policy(self, dialogue):
-        # "vap" is a CLI policy only: its records are the hybrid turns the
-        # local detector decided, so run_session has no vap policy of its own
+    def test_one_cloud_draw_serves_every_policy(self, dialogue):
+        # theta just above the untrained model's p_now_robot of about 0.5, so
+        # the detector decides some turns and the cloud path the others
         cfg = ModelConfig()
-        params = init_params(cfg, seed=0)
-        for policy in ("teleport", "vap"):
-            with pytest.raises(ValueError, match="policy must be"):
-                run_session(dialogue, policy, params=params, model_cfg=cfg)
+        vap_cfg = VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0)
+        raced = run_session(dialogue, params=init_params(cfg, seed=2), model_cfg=cfg, vap_cfg=vap_cfg, seed=3)
+        assert list(raced) == ["stt", "hybrid", "vap"]
+        assert raced["stt"] == run_session(dialogue, seed=3)["stt"]
+        assert raced["vap"] == [r for r in raced["hybrid"] if r.source == SOURCE_VAP]
+        assert 0 < len(raced["vap"]) < len(raced["hybrid"])
+        for h, s in zip(raced["hybrid"], raced["stt"]):
+            if h.source == SOURCE_STT:
+                assert h == s
 
     def test_hybrid_with_untrained_model_falls_back(self, dialogue):
         # an untrained model keeps p_now near 0.5 < theta, so every turn is
         # decided by the simulated cloud path and nothing stalls
         cfg = ModelConfig()
         params = init_params(cfg, seed=0)
-        records = run_session(dialogue, "hybrid", params=params, model_cfg=cfg, seed=1)
+        records = run_session(dialogue, params=params, model_cfg=cfg, seed=1)["hybrid"]
         assert len(records) == 3
         assert all(r.source == SOURCE_STT for r in records)
 
@@ -177,14 +182,14 @@ class TestRunSession:
         params = init_params(cfg, seed=2)
         vap_cfg = VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0)
         kwargs = dict(params=params, model_cfg=cfg, vap_cfg=vap_cfg, seed=1)
-        replayed = run_session(dialogue, "hybrid", **kwargs)
+        replayed = run_session(dialogue, **kwargs)
         monkeypatch.setattr(simulate, "replay", run_stream)
-        streamed = run_session(dialogue, "hybrid", **kwargs)
+        streamed = run_session(dialogue, **kwargs)
         assert replayed == streamed
-        assert {r.source for r in replayed} == {SOURCE_VAP, SOURCE_STT}
+        assert {r.source for r in replayed["hybrid"]} == {SOURCE_VAP, SOURCE_STT}
 
     def test_user_response_from_script(self, dialogue):
-        records = run_session(dialogue, "stt", seed=2)
+        records = run_session(dialogue, seed=2)["stt"]
         turns = dialogue.turns
         for k, rec in enumerate(records):
             if k + 1 < len(turns):
@@ -217,17 +222,17 @@ class TestRunSession:
         # detector wins some races and loses others
         vap_cfg = VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0)
         kwargs = dict(stt_cfg=stt_cfg, seed=session_seed)
-        stt = run_session(dialogue, "stt", **kwargs)
+        stt = run_session(dialogue, **kwargs)["stt"]
         hybrid = run_session(
-            dialogue, "hybrid", params=init_params(cfg, seed=2), model_cfg=cfg, vap_cfg=vap_cfg, **kwargs
-        )
+            dialogue, params=init_params(cfg, seed=2), model_cfg=cfg, vap_cfg=vap_cfg, **kwargs
+        )["hybrid"]
         assert [r.turn for r in hybrid] == [r.turn for r in stt] == list(range(n_turns))
         for h, s in zip(hybrid, stt):
             assert h.robot_response_s <= s.robot_response_s
 
     def test_same_seed_same_records(self, dialogue):
-        a = run_session(dialogue, "stt", seed=11)
-        b = run_session(dialogue, "stt", seed=11)
+        a = run_session(dialogue, seed=11)
+        b = run_session(dialogue, seed=11)
         assert a == b
 
 

@@ -344,6 +344,42 @@ def _slice_vad(vad: VadTrack, start_s: float, end_s: float) -> VadTrack:
     return VadTrack(vad.frames[f0:f1])
 
 
+def _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed) -> list:
+    """One record per user turn: the cloud decision raced against the local
+    detector's decision on the replayed ``frames`` (None: the cloud decision
+    alone). Each turn's cloud decision is drawn from its own seeded stream,
+    so every race at one seed draws the same one."""
+    records = []
+    turns = dialogue.turns
+    for k, turn in enumerate(turns):
+        window_start = turn.user_start_s
+        window_end = turns[k + 1].user_start_s if k + 1 < len(turns) else dialogue.duration_s
+        turn_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        stt_slice = _slice_vad(dialogue.stereo.vad_a, window_start, window_end)
+        stt_t = window_start + stt_decide(stt_slice, stt_cfg, turn_rng)
+        vap_t = None
+        if frames is not None:
+            turn_frames = [fr for fr in frames if window_start < fr.timestamp_s <= window_end]
+            vap_t = vap_decide(turn_frames, vap_cfg)
+        event = arbitrate(vap_t, stt_t, turn.user_end_s)
+        robot_response = max(0.0, event.decision_time_s + response_delay_s - turn.user_end_s)
+        user_response = None
+        if k + 1 < len(turns):
+            user_response = turns[k + 1].user_start_s - turn.robot_end_s
+        records.append(
+            ResponseTimeRecord(
+                turn=k,
+                robot_response_s=robot_response,
+                user_response_s=user_response,
+                source=event.source,
+                decision_time_s=event.decision_time_s,
+                true_end_time_s=turn.user_end_s,
+                premature=event.decision_time_s < turn.user_end_s,
+            )
+        )
+    return records
+
+
 def run_session(
     dialogue: ScriptedDialogue,
     *,
@@ -354,55 +390,27 @@ def run_session(
     response_delay_s: float = 0.3,
     seed: int = 0,
 ) -> dict[str, list[ResponseTimeRecord]]:
-    """Race the endpointers once per user turn and measure the response gaps
-    of every policy, as {policy: records}.
+    """Measure the response gaps of every policy on one dialogue, as
+    {policy: records}.
 
-    Each turn's cloud decision is drawn once. The 'stt' records take it
-    alone. With params, the engine replays the user channel with the robot
-    channel zeroed, as deployed; the 'hybrid' records race the local
-    detector against the same cloud decision, and the 'vap' records are the
-    hybrid turns the local detector decided. Without params only 'stt' is
-    returned and nothing is replayed. The robot onset is decision +
-    response_delay_s, and the response gap is measured from the labeled true
-    end of the turn (floored at zero; decisions before the true end are
-    flagged premature).
+    The 'stt' records take each turn's cloud decision alone. With params,
+    the engine replays the user channel with the robot channel zeroed, as
+    deployed; the 'hybrid' records race the local detector against the same
+    cloud decision (drawn from the same seeded stream), and the 'vap'
+    records are the hybrid turns the local detector decided. Without params
+    only 'stt' is returned and nothing is replayed. The robot onset is
+    decision + response_delay_s, and the response gap is measured from the
+    labeled true end of the turn (floored at zero; decisions before the true
+    end are flagged premature).
     """
     if (params is None) != (model_cfg is None):
         raise ValueError("params and model_cfg must be given together")
-    frames = None if params is None else replay(params, model_cfg, dialogue.stereo.channel_a)
-    records = {"stt": []} if frames is None else {"stt": [], "hybrid": []}
-    turns = dialogue.turns
-    for k, turn in enumerate(turns):
-        window_start = turn.user_start_s
-        window_end = turns[k + 1].user_start_s if k + 1 < len(turns) else dialogue.duration_s
-        turn_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        stt_slice = _slice_vad(dialogue.stereo.vad_a, window_start, window_end)
-        stt_t = window_start + stt_decide(stt_slice, stt_cfg, turn_rng)
-        user_response = None
-        if k + 1 < len(turns):
-            user_response = turns[k + 1].user_start_s - turn.robot_end_s
-        # the local detector's decision per raced policy; stt races none
-        vap_decisions = {"stt": None}
-        if frames is not None:
-            turn_frames = [fr for fr in frames if window_start < fr.timestamp_s <= window_end]
-            vap_decisions["hybrid"] = vap_decide(turn_frames, vap_cfg)
-        for policy, vap_t in vap_decisions.items():
-            event = arbitrate(vap_t, stt_t, turn.user_end_s)
-            robot_response = max(0.0, event.decision_time_s + response_delay_s - turn.user_end_s)
-            records[policy].append(
-                ResponseTimeRecord(
-                    turn=k,
-                    robot_response_s=robot_response,
-                    user_response_s=user_response,
-                    source=event.source,
-                    decision_time_s=event.decision_time_s,
-                    true_end_time_s=turn.user_end_s,
-                    premature=event.decision_time_s < turn.user_end_s,
-                )
-            )
-    if frames is not None:
-        records["vap"] = [r for r in records["hybrid"] if r.source == SOURCE_VAP]
-    return records
+    stt = _race(dialogue, None, vap_cfg, stt_cfg, response_delay_s, seed)
+    if params is None:
+        return {"stt": stt}
+    frames = replay(params, model_cfg, dialogue.stereo.channel_a)
+    hybrid = _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed)
+    return {"stt": stt, "hybrid": hybrid, "vap": [r for r in hybrid if r.source == SOURCE_VAP]}
 
 
 def summarize(records) -> SessionStats:

@@ -149,7 +149,7 @@ class TestRunSession:
         with pytest.raises(ValueError, match="together"):
             run_session(dialogue, model_cfg=ModelConfig())
 
-    def test_one_cloud_draw_serves_every_policy(self, dialogue):
+    def test_raced_policies_share_the_cloud_decision(self, dialogue):
         # theta just above the untrained model's p_now_robot of about 0.5, so
         # the detector decides some turns and the cloud path the others
         cfg = ModelConfig()

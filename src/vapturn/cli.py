@@ -371,10 +371,15 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
     if script.n_turns < 1:
         raise CliConfigError("simulate needs dialogues of at least one turn")
     params = cfg = None
+    checkpoint = resolved["checkpoint"]
     if policies != ["stt"]:
-        if not resolved["checkpoint"]:
+        if not checkpoint:
             raise CliConfigError("policies using the local detector require --checkpoint")
-        params, cfg = load_checkpoint(resolved["checkpoint"])
+        params, cfg = load_checkpoint(checkpoint)
+    elif checkpoint:
+        # neither loaded nor checked, so config.json does not claim it
+        print(f"checkpoint {checkpoint} not used: policy stt needs no model", file=sys.stderr)
+        checkpoint = None
     seed = resolved["seed"]
     scripts = session_scripts(resolved["n_dialogues"], script, seed)
     dialogues = [generate_scripted_dialogue(s) for s in scripts]
@@ -422,7 +427,12 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
         }
     _dump_json({"policies": stats_blocks, "comparisons": comparisons}, out / "stats.json")
     _dump_json(
-        {**resolved, "policies": policies, "script": script.to_json_dict()},
+        {
+            **resolved,
+            "checkpoint": checkpoint,
+            "policies": policies,
+            "script": script.to_json_dict(),
+        },
         out / "config.json",
     )
     for policy, block in stats_blocks.items():

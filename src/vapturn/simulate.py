@@ -32,6 +32,7 @@ from .endpointing import (
     stt_decide,
     vap_decide,
 )
+from .features import HOP_SAMPLES
 from .model import ModelConfig
 from .noise import apply_condition, shape_noise  # noqa: F401
 from .stats import SampleDist, describe, histogram_fixed, rank_sum_test
@@ -39,7 +40,7 @@ from .stats import SampleDist, describe, histogram_fixed, rank_sum_test
 # run_stream and apply_condition are not called here; they stay importable as
 # vapturn.simulate.run_stream and .apply_condition, names perfbench's traced
 # run wraps
-from .streaming import replay, run_stream  # noqa: F401
+from .streaming import TICK_PERIOD_S, replay, run_stream  # noqa: F401
 
 # stt: the cloud endpointer alone; hybrid: the local detector raced against
 # it; vap: the hybrid turns the local detector decided
@@ -344,6 +345,14 @@ def _slice_vad(vad: VadTrack, start_s: float, end_s: float) -> VadTrack:
     return VadTrack(vad.frames[f0:f1])
 
 
+def _turn_window(dialogue, k: int) -> tuple[float, float]:
+    """(start, end] of the span in which turn k is decided: from the turn's
+    start to the next turn's start, or to the end of the dialogue."""
+    turns = dialogue.turns
+    end = turns[k + 1].user_start_s if k + 1 < len(turns) else dialogue.duration_s
+    return turns[k].user_start_s, end
+
+
 def _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed) -> list:
     """One record per user turn: the cloud decision raced against the local
     detector's decision on the replayed ``frames`` (None: the cloud decision
@@ -352,8 +361,7 @@ def _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed) -> list:
     records = []
     turns = dialogue.turns
     for k, turn in enumerate(turns):
-        window_start = turn.user_start_s
-        window_end = turns[k + 1].user_start_s if k + 1 < len(turns) else dialogue.duration_s
+        window_start, window_end = _turn_window(dialogue, k)
         turn_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
         stt_slice = _slice_vad(dialogue.stereo.vad_a, window_start, window_end)
         stt_t = window_start + stt_decide(stt_slice, stt_cfg, turn_rng)
@@ -380,6 +388,20 @@ def _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed) -> list:
     return records
 
 
+def _race_ticks(dialogue, stt_records) -> np.ndarray:
+    """The 1-based ticks the hybrid race can use: those of each turn's window
+    up to its cloud decision in stt_records (inclusive, as ties go to the
+    detector), which the hybrid race at the same seed draws again. The
+    detector is causal and a later firing loses to the cloud, so the race
+    decides every turn as it would on every tick."""
+    t = np.arange(1, dialogue.stereo.channel_a.samples.size // HOP_SAMPLES + 1) * TICK_PERIOD_S
+    used = np.zeros(t.size, dtype=bool)
+    for k, record in enumerate(stt_records):
+        start, end = _turn_window(dialogue, k)
+        used |= (start < t) & (t <= min(end, record.decision_time_s))
+    return np.flatnonzero(used) + 1
+
+
 def run_session(
     dialogue: ScriptedDialogue,
     *,
@@ -395,9 +417,10 @@ def run_session(
 
     The 'stt' records take each turn's cloud decision alone. With params,
     the engine replays the user channel with the robot channel zeroed, as
-    deployed; the 'hybrid' records race the local detector against the same
-    cloud decision (drawn from the same seeded stream), and the 'vap'
-    records are the hybrid turns the local detector decided. Without params
+    deployed, on only the ticks of each turn up to its cloud decision; the
+    'hybrid' records race the local detector against the same cloud
+    decision (drawn from the same seeded stream), and the 'vap' records are
+    the hybrid turns the local detector decided. Without params
     only 'stt' is returned and nothing is replayed. The robot onset is
     decision + response_delay_s, and the response gap is measured from the
     labeled true end of the turn (floored at zero; decisions before the true
@@ -408,7 +431,8 @@ def run_session(
     stt = _race(dialogue, None, vap_cfg, stt_cfg, response_delay_s, seed)
     if params is None:
         return {"stt": stt}
-    frames = replay(params, model_cfg, dialogue.stereo.channel_a)
+    ticks = _race_ticks(dialogue, stt)
+    frames = replay(params, model_cfg, dialogue.stereo.channel_a, ticks=ticks)
     hybrid = _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed)
     return {"stt": stt, "hybrid": hybrid, "vap": [r for r in hybrid if r.source == SOURCE_VAP]}
 

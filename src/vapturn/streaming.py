@@ -5,10 +5,12 @@ Each tick runs the forward pass over the features of the zero-padded trailing
 does not depend on how the audio was chunked. Row j of the window ending at
 hop k is the 400 ms frame ending at hop k - context_frames + 1 + j, keeping
 the min(j + 1, 4) hops of it inside the window and zeros before them. So each
-hop has 4 rows, computed once, and a window is one fixed gather over its
-hops' rows: the tick keeps them in a ring, replay computes them for a whole
-recording. Only the newest row's prediction is used, so the last cross layer
-and the heads run on that row alone.
+hop has 4 rows, and a window is one fixed gather over its hops' rows. The
+tick computes all 4 rows of each new hop once and keeps them in a ring.
+replay computes, for the ticks asked of it, the full-frame row of every hop
+in one frontend pass over the recording, and each shorter row only where a
+requested window's first rows read it. Only the newest row's prediction is
+used, so the last cross layer and the heads run on that row alone.
 
 The deployed engine hears the user with the robot channel zeroed. When every
 sample of the robot's 5 s window is a digital zero (the last context_frames
@@ -31,21 +33,27 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Waveform
 from .codebook import entropy_nats, p_now_pair
-from .features import HOP_SAMPLES, N_MELS, WINDOW_SAMPLES, _frame_features, silent_features
+from .features import (
+    HOP_SAMPLES,
+    N_MELS,
+    WINDOW_SAMPLES,
+    _frame_features,
+    extract_features,
+    silent_features,
+)
 
-# extract_features and forward are not called here; they stay importable as
-# vapturn.streaming.extract_features and .forward, names perfbench's traced run wraps
-from .features import extract_features  # noqa: F401
+# forward is not called here; it stays importable as vapturn.streaming.forward,
+# a name perfbench's traced run wraps
 from .model import ModelConfig, encode_channel, forward, forward_last  # noqa: F401
 
 TICK_PERIOD_S = 0.1
 # a hop's rows: its 400 ms frame keeping the samples _KEEP[kind] marks, its last kind + 1 hops
 _KINDS = WINDOW_SAMPLES // HOP_SAMPLES
 _KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - np.arange(_KINDS))[:, None] * HOP_SAMPLES
-# windows per replay forward call. On a 54 s recording (2-vCPU VM, 1 BLAS
-# thread) 16, 32 and 64 ran equally fast, 128 about 5 % slower, while the
-# block's transient memory grows with its size (replay's peak 43 MB at 32,
-# 65 MB at 64)
+# windows per replay forward call, and short rows per frontend call. On a
+# 54 s recording (2-vCPU VM, 1 BLAS thread) 16 and 32 ran equally fast, 64 and
+# 128 5-10 % slower. replay's traced peak, 70 MB at every one of these sizes,
+# is the one frontend pass over the recording, which grows with its length
 REPLAY_BLOCK = 32
 
 
@@ -291,17 +299,60 @@ def run_stream(
     return results
 
 
-def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None) -> list[FrameResult]:
+def _checked_ticks(ticks, n_ticks: int) -> np.ndarray:
+    """ticks as an int array of 1-based tick indices, every tick when None;
+    ValueError unless they increase strictly within 1..n_ticks."""
+    if ticks is None:
+        return np.arange(1, n_ticks + 1)
+    sel = np.asarray(ticks)
+    if sel.ndim != 1 or (sel.size and sel.dtype.kind not in "iu"):
+        raise ValueError("ticks must be a sequence of integers")
+    sel = sel.astype(np.int64)
+    if sel.size and (sel[0] < 1 or sel[-1] > n_ticks or np.any(np.diff(sel) <= 0)):
+        raise ValueError(f"ticks must increase strictly within 1..{n_ticks}")
+    return sel
+
+
+def _replay_rows(x: np.ndarray, ticks: np.ndarray, ctx: int) -> np.ndarray:
+    """The rows the windows of ticks read from channel x: an array of shape
+    (ctx - 1 + n_ticks, _KINDS, N_MELS) holding hop i + 2 - ctx at index i,
+    so the window of tick k starts at index k - 1. The full-frame kind of
+    every hop is one extract_features pass over the recording. A shorter
+    kind m is read only as row m of a window, so it is computed only for hop
+    k - ctx + 1 + m of each tick k. Hops <= 0, and rows no window of ticks
+    reads, are silent."""
+    n_ticks = x.size // HOP_SAMPLES
+    lead = ctx - 1
+    audio = x[: n_ticks * HOP_SAMPLES]
+    rows = np.broadcast_to(silent_features(1), (lead + n_ticks, _KINDS, N_MELS)).copy()
+    rows[lead:, -1] = extract_features(audio)
+    kinds = np.arange(min(ctx, _KINDS - 1))
+    hops = (ticks[:, None] - ctx + 1 + kinds).ravel()
+    kinds = np.broadcast_to(kinds, (len(ticks), len(kinds))).ravel()
+    hops, kinds = hops[hops >= 1], kinds[hops >= 1]
+    # frame f of padded ends at hop f + 1; REPLAY_BLOCK rows per call bound the FFT buffers
+    padded = np.concatenate([np.zeros(WINDOW_SAMPLES - HOP_SAMPLES), audio])
+    frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    for i in range(0, len(hops), REPLAY_BLOCK):
+        h, m = hops[i : i + REPLAY_BLOCK], kinds[i : i + REPLAY_BLOCK]
+        rows[lead + h - 1, m] = _frame_features(np.where(_KEEP[m], frames[h - 1], 0.0))
+    return rows
+
+
+def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> list[FrameResult]:
     """The ticks run_stream emits for the same audio, computed in batches.
 
-    Results match run_stream within float rounding (tested to 1e-9). The rows
-    of every frame are computed once for the whole recording, each block of
-    REPLAY_BLOCK windows gathers its rows as the tick does, and the block runs
+    ticks, an increasing sequence of 1-based tick indices, selects the ticks
+    to compute; None means every one. ValueError, before any work, for a
+    tick outside 1..len(wav_a) // HOP_SAMPLES or ticks not strictly
+    increasing. Results match run_stream within float rounding (tested to
+    1e-9), whatever ticks selects. Each block of REPLAY_BLOCK requested
+    windows gathers its rows as the tick does (see _replay_rows) and runs
     through the newest-row forward. When wav_b is None or all zeros, every
-    window's robot channel is the silent one, so its encoding is computed once
-    and shared by all windows. compute_ms of every result in a block is the
-    block's wall time divided by the windows in it; the one row pass over the
-    recording is not in it.
+    window's robot channel is the silent one, so its encoding is computed
+    once and shared by all windows. compute_ms of every result in a block is
+    the block's wall time divided by the windows in it; the row computation
+    before the blocks is not in it.
     """
     if params is None:
         raise ModelNotAttachedError("no model parameters attached to replay")
@@ -309,40 +360,28 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None) -> list[FrameResul
     b = np.zeros_like(a) if wav_b is None else _samples(wav_b)
     if a.size != b.size:
         raise MismatchedChunkError("channel lengths differ")
+    ticks = _checked_ticks(ticks, a.size // HOP_SAMPLES)
     _check_finite(a, b)
-    n_ticks = a.size // HOP_SAMPLES
-    if n_ticks == 0:
+    if not ticks.size:
         return []
     ctx = cfg.context_frames
-    # frame i of a channel is padded[i * HOP : i * HOP + WINDOW_SAMPLES]: the
-    # stream's zero-filled context and the lookback of its oldest frame, then
-    # the audio. It ends at hop i + 2 - ctx, so row j of window k (1-based
-    # tick) is frame k - 1 + j. A robot channel of zeros has the silent
-    # window's encoding in every window
+    # a robot channel of zeros has the silent window's encoding in every window
     silent_b = not b.any()
-    channels = [a] if silent_b else [a, b]
-    pad = (ctx + _KINDS - 2) * HOP_SAMPLES
-    padded = np.zeros((len(channels), pad + n_ticks * HOP_SAMPLES))
-    padded[:, pad:] = [c[: n_ticks * HOP_SAMPLES] for c in channels]
-    step = REPLAY_BLOCK // _KINDS  # frames per row call, to bound the FFT buffers
-    hop_rows = [
-        np.concatenate([_frame_rows(f[i : i + step]) for i in range(0, len(f), step)])
-        for f in sliding_window_view(padded, WINDOW_SAMPLES, axis=1)[:, ::HOP_SAMPLES]
-    ]
+    hop_rows = [_replay_rows(c, ticks, ctx) for c in ([a] if silent_b else [a, b])]
     if silent_b:
         enc_b = _silent_robot_encoding(params, cfg)
     results = []
-    for first in range(1, n_ticks + 1, REPLAY_BLOCK):
+    for i in range(0, len(ticks), REPLAY_BLOCK):
         t0 = time.perf_counter()
-        n = min(REPLAY_BLOCK, n_ticks + 1 - first)
-        feats = [_windows(r, range(first - 1, first - 1 + n), ctx) for r in hop_rows]
+        block = ticks[i : i + REPLAY_BLOCK]
+        feats = [_windows(r, block - 1, ctx) for r in hop_rows]
         if not silent_b:
             enc_b = encode_channel(params, feats[1], cfg, "b")
         out = forward_last(params, feats[0], enc_b, cfg)
         rows = [(*p_now_pair(vap), entropy_nats(vap)) for vap in out.vap]
-        compute_ms = (time.perf_counter() - t0) * 1000.0 / n
-        for i, (p_user, p_robot, entropy) in enumerate(rows):
+        compute_ms = (time.perf_counter() - t0) * 1000.0 / len(block)
+        for tick, (p_user, p_robot, entropy), vad_row in zip(block, rows, out.vad):
             results.append(
-                _frame_result(first + i, p_user, p_robot, out.vad[i], entropy, compute_ms)
+                _frame_result(int(tick), p_user, p_robot, vad_row, entropy, compute_ms)
             )
     return results

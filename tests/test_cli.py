@@ -251,6 +251,19 @@ class TestSimulate:
             records.append((out / "records_vap.jsonl").read_text())
         assert records[0] == records[1] != ""
 
+    def test_unused_checkpoint_is_not_recorded(self, tmp_path, capsys):
+        out = tmp_path / "sim5"
+        assert main([
+            "simulate", "--out", str(out), "--policies", "stt",
+            "--checkpoint", str(tmp_path / "nonexistent.npz"),
+            "--n-dialogues", "1", "--turns", "1", "--seed", "5",
+        ]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "checkpoint" in line] == [
+            f"checkpoint {tmp_path / 'nonexistent.npz'} not used: policy stt needs no model"
+        ]
+        assert json.loads((out / "config.json").read_text())["checkpoint"] is None
+
     def test_model_policy_requires_checkpoint(self, tmp_path):
         assert main([
             "simulate", "--out", str(tmp_path / "s3"), "--policies", "hybrid",

@@ -183,10 +183,50 @@ class TestRunSession:
         vap_cfg = VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0)
         kwargs = dict(params=params, model_cfg=cfg, vap_cfg=vap_cfg, seed=1)
         replayed = run_session(dialogue, **kwargs)
-        monkeypatch.setattr(simulate, "replay", run_stream)
+
+        def stream_requested(params, cfg, wav_a, wav_b=None, ticks=None):
+            frames = run_stream(params, cfg, wav_a, wav_b)
+            return frames if ticks is None else [frames[k - 1] for k in ticks]
+
+        monkeypatch.setattr(simulate, "replay", stream_requested)
         streamed = run_session(dialogue, **kwargs)
         assert replayed == streamed
         assert {r.source for r in replayed["hybrid"]} == {SOURCE_VAP, SOURCE_STT}
+
+    @pytest.mark.parametrize(
+        "vap_cfg",
+        [
+            VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0),
+            VapEndpointerConfig(),
+        ],
+        ids=["fires-on-some", "default"],
+    )
+    def test_race_replays_only_ticks_up_to_the_cloud_decision(self, dialogue, vap_cfg, monkeypatch):
+        import vapturn.simulate as simulate
+        from vapturn.streaming import replay
+
+        cfg = ModelConfig()
+        kwargs = dict(params=init_params(cfg, seed=2), model_cfg=cfg, vap_cfg=vap_cfg, seed=1)
+        requested = []
+
+        def replay_all(params, cfg, wav_a, wav_b=None, ticks=None):
+            requested.append(list(ticks))
+            return replay(params, cfg, wav_a, wav_b)
+
+        selected = run_session(dialogue, **kwargs)
+        monkeypatch.setattr(simulate, "replay", replay_all)
+        everything = run_session(dialogue, **kwargs)
+        assert selected == everything
+        if vap_cfg.theta < 0.6:
+            assert {r.source for r in selected["hybrid"]} == {SOURCE_VAP, SOURCE_STT}
+        (ticks,) = requested
+        assert 0 < len(ticks) < dialogue.stereo.channel_a.samples.size // 1600
+        turns = dialogue.turns
+        for tick in ticks:
+            t = tick * 0.1
+            k = max(i for i, turn in enumerate(turns) if turn.user_start_s < t)
+            assert k + 1 == len(turns) or t <= turns[k + 1].user_start_s
+            assert t <= selected["stt"][k].decision_time_s
 
     def test_user_response_from_script(self, dialogue):
         records = run_session(dialogue, seed=2)["stt"]

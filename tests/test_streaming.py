@@ -428,6 +428,56 @@ class TestReplay:
                 run(params, cfg, np.zeros(n_a), np.zeros(n_b))
 
 
+class TestReplayTicks:
+    """replay(ticks=...) computes the selected ticks of the full replay."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cfg=st.sampled_from(REPLAY_CONFIGS),
+        robot=st.sampled_from(["none", "zeros", "noise"]),
+        n_hops=st.integers(1, 70),
+        data=st.data(),
+    )
+    def test_subset_equals_full_replay(self, cfg, robot, n_hops, data):
+        n = n_hops * HOP_SAMPLES + data.draw(st.integers(0, HOP_SAMPLES - 1))
+        params = init_params(cfg, seed=2)
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+        audio_a = np.clip(0.3 * rng.standard_normal(n), -1, 1)
+        audio_b = {
+            "none": None,
+            "zeros": np.zeros(n),
+            "noise": np.clip(0.3 * rng.standard_normal(n), -1, 1),
+        }[robot]
+        # tick 1, the ticks whose windows reach before the audio, and the last
+        early = list(range(1, min(cfg.context_frames, n_hops) + 1))
+        rest = data.draw(st.sets(st.integers(1, n_hops)))
+        ticks = sorted({1, n_hops} | set(data.draw(st.lists(st.sampled_from(early)))) | rest)
+        full = replay(params, cfg, audio_a, audio_b)
+        part = replay(params, cfg, audio_a, audio_b, ticks=ticks)
+        assert len(part) == len(ticks)
+        for tick, r in zip(ticks, part):
+            f = full[tick - 1]
+            assert (r.frame_index, r.timestamp_s) == (f.frame_index, f.timestamp_s) == (
+                tick,
+                tick * streaming.TICK_PERIOD_S,
+            )
+            for name in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
+                assert abs(getattr(r, name) - getattr(f, name)) <= 1e-12, name
+        assert replay(params, cfg, audio_a, audio_b, ticks=[]) == []
+
+    @pytest.mark.parametrize("ticks", [[0], [1, 0], [41], [1, 41], [3, 2], [2, 2], [1.0], [[1]]])
+    def test_bad_ticks_rejected_before_any_work(self, params, cfg, ticks, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("rows computed before the ticks were checked")
+
+        monkeypatch.setattr(streaming, "extract_features", no_work)
+        monkeypatch.setattr(streaming, "_frame_features", no_work)
+        monkeypatch.setattr(streaming, "forward_last", no_work)
+        audio = _audio(4.0, seed=28)  # 40 ticks
+        with pytest.raises(ValueError, match="ticks"):
+            replay(params, cfg, audio, ticks=ticks)
+
+
 def _record_model_inputs(monkeypatch) -> tuple[list, list]:
     """Record the user features of each forward_last call, and the robot
     features of each encode_channel call with the number of forward_last

@@ -198,7 +198,7 @@ def _noise_bank(resolved: dict) -> NoiseBank:
 _MODEL = ModelConfig()
 MODEL_OPTIONS = {
     key: Opt(getattr(_MODEL, key), int)
-    for key in ("feature_bands", "model_dim", "channel_layers", "cross_layers", "heads")
+    for key in ("model_dim", "channel_layers", "cross_layers", "heads")
 }
 NOISE_OPTIONS = {"noise_dir": Opt(), "noise_seed": Opt(0, int)}
 

@@ -60,26 +60,32 @@ def feature_frame_count(n_samples: int) -> int:
     return n_samples // HOP_SAMPLES
 
 
-def extract_features(w) -> np.ndarray:
-    """Log-mel features, one (N_MELS,) row per 100 ms of audio.
-
-    Accepts a Waveform or a raw sample array. Returns shape (T, N_MELS) with
-    T = floor(n_samples / 1600); silence maps to log(LOG_FLOOR) in every band.
-    """
-    samples = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
+def hop_frames(samples: np.ndarray) -> np.ndarray:
+    """Read-only (T, WINDOW_SAMPLES) view of 1-D samples: row t is the 400 ms
+    frame ending at hop t + 1, zero-padded before the start, with
+    T = floor(n_samples / 1600)."""
     n_frames = feature_frame_count(samples.size)
-    if n_frames == 0:
-        return np.zeros((0, N_MELS))
     padded = np.concatenate(
         [np.zeros(WINDOW_SAMPLES - HOP_SAMPLES), samples[: n_frames * HOP_SAMPLES]]
     )
     stride = padded.strides[0]
-    frames = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         padded,
         shape=(n_frames, WINDOW_SAMPLES),
         strides=(HOP_SAMPLES * stride, stride),
+        writeable=False,
     )
-    return _frame_features(frames)
+
+
+def extract_features(w) -> np.ndarray:
+    """Log-mel features, one (N_MELS,) row per 100 ms of audio.
+
+    Accepts a Waveform or a raw sample array. Returns shape (T, N_MELS) with
+    T = floor(n_samples / 1600), row t from hop_frames row t; silence maps to
+    log(LOG_FLOOR) in every band.
+    """
+    samples = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
+    return _frame_features(hop_frames(samples))
 
 
 def silent_features(n_frames: int) -> np.ndarray:

@@ -36,7 +36,6 @@ class ModelConfig:
     """Desk-scale architecture knobs; defaults keep a full-context forward pass
     around a couple of milliseconds on CPU."""
 
-    feature_bands: int = 40
     model_dim: int = 32
     channel_layers: int = 1
     cross_layers: int = 1
@@ -46,17 +45,18 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feature_bands != N_MELS:
-            raise ValueError(
-                f"feature_bands {self.feature_bands} unsupported: the frontend emits {N_MELS} bands"
-            )
         if self.model_dim % self.heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
             )
-        for name in ("feature_bands", "model_dim", "channel_layers", "cross_layers", "heads", "context_frames", "ffn_mult"):
+        for name in ("model_dim", "channel_layers", "cross_layers", "heads", "context_frames", "ffn_mult"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+
+    @property
+    def feature_bands(self) -> int:
+        """Bands per feature row: always the frontend's N_MELS."""
+        return N_MELS
 
     @property
     def context_samples(self) -> int:
@@ -64,7 +64,6 @@ class ModelConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "feature_bands": self.feature_bands,
             "model_dim": self.model_dim,
             "channel_layers": self.channel_layers,
             "cross_layers": self.cross_layers,
@@ -76,6 +75,11 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of to_json_dict. Stored configs may hold "feature_bands",
+        no longer a field: dropped when it is N_MELS, ValueError otherwise."""
+        d = dict(d)
+        if (bands := d.pop("feature_bands", N_MELS)) != N_MELS:
+            raise ValueError(f"feature_bands {bands} unsupported: the frontend emits {N_MELS} bands")
         return cls(**d)
 
 
@@ -160,7 +164,7 @@ def init_params(cfg: ModelConfig, seed: int | None = None) -> dict:
         p[f"{base}.W2"] = dense((hidden, d), hidden)
         p[f"{base}.b2"] = np.zeros(d)
 
-    p["in.W"] = dense((cfg.feature_bands, d), cfg.feature_bands)
+    p["in.W"] = dense((N_MELS, d), N_MELS)
     p["in.b"] = np.zeros(d)
     for c in ("a", "b"):
         for layer in range(cfg.channel_layers):

@@ -9,27 +9,28 @@ hop has 4 rows, and a window is one fixed gather over its hops' rows. The
 tick computes all 4 rows of each new hop once and keeps them in a ring.
 replay computes, for the ticks asked of it, the full-frame row of every hop
 in one frontend pass over the recording, and each shorter row only where a
-requested window's first rows read it. Only the newest row's prediction is
-used, so the last cross layer and the heads run on that row alone.
+requested window's first rows read it. Both then take one prediction step,
+_predict. Only the newest row's prediction is used, so the last cross layer
+and the heads run on that row alone.
 
-The deployed engine hears the user with the robot channel zeroed. When every
-sample of the robot's 5 s window is a digital zero (the last context_frames
-hops of a stream; a whole robot recording for replay), the robot's features
-and self blocks would give the same output every time, so both reuse one
-stored encoding of the silent window instead. The features of an all-zero
-window are exactly the silent ones, so this is exact: the tick is
-bit-identical to computing the robot side in full, and replay stays within
-float rounding of run_stream.
+Silence is read from the data. A frame with no nonzero sample has the silent
+rows, so the tick writes them without the frontend, and replay's rows of an
+all-zero channel are silent throughout. The deployed engine hears the user
+with the robot channel zeroed. When every robot feature a prediction step
+reads is silent, whatever the audio under it, the step reuses one stored
+encoding of the silent window. This is exact: the tick is bit-identical to
+computing the robot side in full, and replay stays within float rounding of
+run_stream.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Waveform
 from .codebook import entropy_nats, p_now_pair
@@ -39,6 +40,7 @@ from .features import (
     WINDOW_SAMPLES,
     _frame_features,
     extract_features,
+    hop_frames,
     silent_features,
 )
 
@@ -70,7 +72,10 @@ class NonFiniteAudioError(ValueError):
 
 
 def _samples(w) -> np.ndarray:
-    return w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64).ravel()
+    x = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"audio must be 1-D mono samples, got an array of shape {x.shape}")
+    return x
 
 
 def _check_finite(*channels: np.ndarray) -> None:
@@ -142,8 +147,24 @@ def _windows(rows: np.ndarray, oldest, ctx: int) -> np.ndarray:
 
 def _silent_robot_encoding(params: dict, cfg: ModelConfig) -> np.ndarray:
     """Robot encoding (1, context_frames, model_dim) of a context window of
-    digital zeros: what every all-zero robot window encodes to."""
+    digital zeros: what every robot window of silent features encodes to."""
     return encode_channel(params, silent_features(cfg.context_frames)[None], cfg, "b")
+
+
+def _all_silent(feats: np.ndarray) -> bool:
+    """Whether every feature in feats is the silent value."""
+    return bool((feats == silent_features(1)).all())
+
+
+def _predict(params: dict, cfg: ModelConfig, rows, oldest, silent_encoding) -> list[tuple]:
+    """(p_now_user, p_now_robot, vad row, entropy) of the windows with oldest
+    hops oldest in the user's rows[0] and the robot's rows[1] (see _windows).
+    Robot windows that are all silent take silent_encoding() as their encoding."""
+    feats_a, feats_b = (_windows(r, oldest, cfg.context_frames) for r in rows)
+    silent = _all_silent(feats_b)
+    enc_b = silent_encoding() if silent else encode_channel(params, feats_b, cfg, "b")
+    out = forward_last(params, feats_a, enc_b, cfg)
+    return [(*p_now_pair(vap), vad, entropy_nats(vap)) for vap, vad in zip(out.vap, out.vad)]
 
 
 class StreamContext:
@@ -208,11 +229,12 @@ class StreamContext:
 
     def _roll_in(self, c: int, hop: np.ndarray) -> None:
         """Shift hop into channel c's 400 ms tail and store the rows of the
-        tail's frame in the ring slot of the newest hop."""
+        tail's frame, silent when the tail is zeros, in the newest hop's ring slot."""
         tail = self._tail[c]
         tail[:-HOP_SAMPLES] = tail[HOP_SAMPLES:]
         tail[-HOP_SAMPLES:] = hop
-        self._rows[c, self.clock % self.cfg.context_frames] = _frame_rows(tail[None])[0]
+        rows = _frame_rows(tail[None])[0] if tail.any() else silent_features(_KINDS)
+        self._rows[c, self.clock % self.cfg.context_frames] = rows
 
     def _cached_silent_encoding(self) -> np.ndarray:
         """_silent_robot_encoding, made again when self.params is rebound to
@@ -231,28 +253,14 @@ class StreamContext:
             return None
         t0 = time.perf_counter()
         hop = self._take_hop()
-        self._silent_hops = 0 if hop[1].any() else self._silent_hops + 1
         self.clock += 1
-        ctx = self.cfg.context_frames
-        self._roll_in(0, hop[0])
-        # a hop's rows are all silent once the _KINDS hops of its frame are
-        # zero, so after ctx + _KINDS - 1 zero hops the robot's tail is zeros
-        # and every ring slot silent, and rolling in more zeros changes neither
-        if self._silent_hops < ctx + _KINDS:
-            self._roll_in(1, hop[1])
+        for c in (0, 1):
+            self._roll_in(c, hop[c])
         # the ring slot of hop h is h % ctx, so the window's oldest hop is in slot clock + 1
         oldest = [self.clock + 1]
-        if self._silent_hops >= ctx:
-            # every sample of the robot window is zero, so its encoding is the
-            # stored one, exactly
-            enc_b = self._cached_silent_encoding()
-        else:
-            enc_b = encode_channel(self.params, _windows(self._rows[1], oldest, ctx), self.cfg, "b")
-        out = forward_last(self.params, _windows(self._rows[0], oldest, ctx), enc_b, self.cfg)
-        p_user, p_robot = p_now_pair(out.vap[0])
-        entropy = entropy_nats(out.vap[0])
+        [pred] = _predict(self.params, self.cfg, self._rows, oldest, self._cached_silent_encoding)
         compute_ms = (time.perf_counter() - t0) * 1000.0
-        return _frame_result(self.clock, p_user, p_robot, out.vad[0], entropy, compute_ms)
+        return _frame_result(self.clock, *pred, compute_ms)
 
     def tick_all(self) -> list[FrameResult]:
         out = []
@@ -266,9 +274,6 @@ class StreamContext:
         # the last 400 ms of each channel, and the rows of its last ctx hops
         self._tail = np.zeros((2, WINDOW_SAMPLES))
         self._rows = np.broadcast_to(silent_features(1), (2, ctx, _KINDS, N_MELS)).copy()
-        # consecutive all-zero robot hops; the fresh context counts as silent
-        # long enough to leave the robot's tail and ring alone
-        self._silent_hops = ctx + _KINDS
         # queued audio of both channels is _pending[:, _start:_end]
         self._pending = np.empty((2, 2 * HOP_SAMPLES))
         self._start = 0
@@ -283,7 +288,9 @@ def run_stream(
     wav_b=None,
     chunk_samples: int = HOP_SAMPLES,
 ) -> list[FrameResult]:
-    """Replay waveforms through a fresh StreamContext in fixed-size chunks."""
+    """Replay waveforms through a fresh StreamContext in chunks of chunk_samples >= 1."""
+    if chunk_samples < 1:
+        raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
     a = _samples(wav_a)
     b = None
     if wav_b is not None:
@@ -320,19 +327,21 @@ def _replay_rows(x: np.ndarray, ticks: np.ndarray, ctx: int) -> np.ndarray:
     every hop is one extract_features pass over the recording. A shorter
     kind m is read only as row m of a window, so it is computed only for hop
     k - ctx + 1 + m of each tick k. Hops <= 0, and rows no window of ticks
-    reads, are silent."""
+    reads, are silent; all of them, as a read-only broadcast, for zeros x."""
     n_ticks = x.size // HOP_SAMPLES
     lead = ctx - 1
     audio = x[: n_ticks * HOP_SAMPLES]
-    rows = np.broadcast_to(silent_features(1), (lead + n_ticks, _KINDS, N_MELS)).copy()
+    silent = np.broadcast_to(silent_features(1), (lead + n_ticks, _KINDS, N_MELS))
+    if not audio.any():
+        return silent
+    rows = silent.copy()
     rows[lead:, -1] = extract_features(audio)
     kinds = np.arange(min(ctx, _KINDS - 1))
     hops = (ticks[:, None] - ctx + 1 + kinds).ravel()
     kinds = np.broadcast_to(kinds, (len(ticks), len(kinds))).ravel()
     hops, kinds = hops[hops >= 1], kinds[hops >= 1]
-    # frame f of padded ends at hop f + 1; REPLAY_BLOCK rows per call bound the FFT buffers
-    padded = np.concatenate([np.zeros(WINDOW_SAMPLES - HOP_SAMPLES), audio])
-    frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    # frame f ends at hop f + 1; REPLAY_BLOCK rows per call bound the FFT buffers
+    frames = hop_frames(audio)
     for i in range(0, len(hops), REPLAY_BLOCK):
         h, m = hops[i : i + REPLAY_BLOCK], kinds[i : i + REPLAY_BLOCK]
         rows[lead + h - 1, m] = _frame_features(np.where(_KEEP[m], frames[h - 1], 0.0))
@@ -347,12 +356,12 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> lis
     tick outside 1..len(wav_a) // HOP_SAMPLES or ticks not strictly
     increasing. Results match run_stream within float rounding (tested to
     1e-9), whatever ticks selects. Each block of REPLAY_BLOCK requested
-    windows gathers its rows as the tick does (see _replay_rows) and runs
-    through the newest-row forward. When wav_b is None or all zeros, every
-    window's robot channel is the silent one, so its encoding is computed
-    once and shared by all windows. compute_ms of every result in a block is
-    the block's wall time divided by the windows in it; the row computation
-    before the blocks is not in it.
+    windows takes the tick's prediction step (_predict) over rows built as
+    the tick builds them (see _replay_rows). A block whose robot windows are
+    all silent, as every block is when wav_b is None, shares one encoding of
+    the silent window, made at most once per call. compute_ms of every result
+    in a block is the block's wall time divided by the windows in it; the row
+    computation before the blocks is not in it.
     """
     if params is None:
         raise ModelNotAttachedError("no model parameters attached to replay")
@@ -364,24 +373,13 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> lis
     _check_finite(a, b)
     if not ticks.size:
         return []
-    ctx = cfg.context_frames
-    # a robot channel of zeros has the silent window's encoding in every window
-    silent_b = not b.any()
-    hop_rows = [_replay_rows(c, ticks, ctx) for c in ([a] if silent_b else [a, b])]
-    if silent_b:
-        enc_b = _silent_robot_encoding(params, cfg)
+    rows = [_replay_rows(c, ticks, cfg.context_frames) for c in (a, b)]
+    silent_encoding = functools.cache(lambda: _silent_robot_encoding(params, cfg))
     results = []
     for i in range(0, len(ticks), REPLAY_BLOCK):
         t0 = time.perf_counter()
         block = ticks[i : i + REPLAY_BLOCK]
-        feats = [_windows(r, block - 1, ctx) for r in hop_rows]
-        if not silent_b:
-            enc_b = encode_channel(params, feats[1], cfg, "b")
-        out = forward_last(params, feats[0], enc_b, cfg)
-        rows = [(*p_now_pair(vap), entropy_nats(vap)) for vap in out.vap]
+        preds = _predict(params, cfg, rows, block - 1, silent_encoding)
         compute_ms = (time.perf_counter() - t0) * 1000.0 / len(block)
-        for tick, (p_user, p_robot, entropy), vad_row in zip(block, rows, out.vad):
-            results.append(
-                _frame_result(int(tick), p_user, p_robot, vad_row, entropy, compute_ms)
-            )
+        results += [_frame_result(int(t), *pred, compute_ms) for t, pred in zip(block, preds)]
     return results

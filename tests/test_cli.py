@@ -132,9 +132,9 @@ class TestTrain:
     @pytest.mark.parametrize(
         "config, flags",
         [
-            ({"feature_bands": 20}, []),
+            ({"model_dim": 0}, []),
             ({}, ["--model-dim", "33", "--heads", "2"]),
-            ({}, ["--feature-bands", "20"]),
+            ({}, ["--channel-layers", "0"]),
         ],
     )
     def test_invalid_model_config_is_config_error(self, workspace, tmp_path, config, flags):
@@ -144,6 +144,17 @@ class TestTrain:
             "train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m"),
             "--config", str(cfg_path), "--quiet", *flags,
         ]) == EXIT_CONFIG
+
+    def test_feature_bands_is_not_an_option(self, workspace, tmp_path):
+        # the feature width is always the frontend's 40 bands
+        cfg_path = tmp_path / "model.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "feature_bands": 40}))
+        train = ["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m"), "--quiet"]
+        assert main([*train, "--config", str(cfg_path)]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main([*train, "--feature-bands", "40"])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "m").exists()
 
 
 class TestEval:
@@ -348,7 +359,7 @@ OPTION_STRINGS = {
     "train": [
         "--config", "--data", "--out", "--mode", "--epochs", "--lr", "--lr-decay", "--batch-size",
         "--window-stride", "--seed", "--train-snrs", "--zero-robot-prob", "--noise-dir",
-        "--noise-seed", "--feature-bands", "--model-dim", "--channel-layers", "--cross-layers",
+        "--noise-seed", "--model-dim", "--channel-layers", "--cross-layers",
         "--heads", "--quiet",
     ],
     "eval": [

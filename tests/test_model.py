@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vapturn.features import N_MELS
 from vapturn.model import (
     FrameBatch,
     ModelConfig,
@@ -48,8 +49,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("bands", [20, 39, 41])
     def test_feature_bands_must_match_frontend(self, bands):
-        with pytest.raises(ValueError, match="feature_bands"):
+        # the width is always the frontend's; a stored config may still hold
+        # the old field, and loads only when it matches
+        assert ModelConfig().feature_bands == N_MELS
+        with pytest.raises(TypeError):
             ModelConfig(feature_bands=bands)
+        stored = ModelConfig(model_dim=16).to_json_dict()
+        assert "feature_bands" not in stored
+        old = {**stored, "feature_bands": N_MELS}
+        assert ModelConfig.from_json_dict(old) == ModelConfig(model_dim=16)
+        assert old["feature_bands"] == N_MELS  # the caller's dict is left alone
+        with pytest.raises(ValueError, match=f"feature_bands {bands}"):
+            ModelConfig.from_json_dict({**stored, "feature_bands": bands})
 
     def test_context_covers_five_seconds(self):
         cfg = ModelConfig()

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from vapturn import features, model, streaming
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,9 +38,19 @@ def test_traced_benchmark_wraps_resolve(monkeypatch):
     spans = importlib.import_module("spans")
     layers = importlib.import_module("layers")
     tracer = spans.Tracer()
+    cfg = model.ModelConfig(context_frames=6)
+    params = model.init_params(cfg, seed=0)
+    audio = 0.1 * np.random.default_rng(0).standard_normal(3 * features.HOP_SAMPLES)
     try:
         layers.instrument(tracer)
         assert streaming.extract_features is not features.extract_features
+        # the tick and replay must look p_now_pair up as a vapturn.streaming
+        # global, or codebook.ms_per_tick reads 0
+        for run in (streaming.run_stream, streaming.replay):
+            before = len(tracer.spans)
+            assert len(run(params, cfg, audio)) == 3
+            names = [span.name for span in tracer.spans[before:]]
+            assert names.count("codebook.p_now_pair") == 3, run.__name__
     finally:
         tracer.restore()
     assert streaming.extract_features is features.extract_features

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from vapturn import streaming
 from vapturn.codebook import p_now_pair
-from vapturn.features import HOP_SAMPLES, extract_features
+from vapturn.features import HOP_SAMPLES, extract_features, hop_frames
 from vapturn.model import FrameBatch, ModelConfig, forward, init_params
 from vapturn.streaming import (
     FrameResult,
@@ -146,6 +146,11 @@ class TestContract:
             assert 0.0 <= r.vad_user <= 1.0 and 0.0 <= r.vad_robot <= 1.0
             assert r.vap_entropy >= 0.0
             assert r.compute_ms >= 0.0
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_samples_below_one_rejected(self, params, cfg, chunk):
+        with pytest.raises(ValueError, match="chunk_samples"):
+            run_stream(params, cfg, _audio(0.5, seed=9), chunk_samples=chunk)
 
     def test_json_line_fields(self, params, cfg):
         import json
@@ -289,16 +294,26 @@ class TestSilentRobot:
         params = _trained_like_params(cfg, seed=4)
         audio = _audio(7.0, seed=20)
         robot = _burst_robot(audio.size, [(0.5, 0.2), (6.2, 0.2)], seed=21)
-        # samples of 1e-200 are not zeros, so these windows take the full
-        # path, yet their power underflows: the features are the silent ones
+        # samples of 1e-200 are not zeros, so their rows come from the
+        # frontend, yet their power underflows: the features are the silent ones
         faint = np.where(robot == 0.0, 1e-200, robot)
         cap = cfg.context_samples
         assert np.array_equal(extract_features(np.full(cap, 1e-200)), extract_features(np.zeros(cap)))
-        full = run_stream(params, cfg, audio, faint)
         encodes = _count_encodes(monkeypatch)
+        with monkeypatch.context() as m:
+            # the reference encodes every robot window in full
+            m.setattr(streaming, "_all_silent", lambda feats: False)
+            full = run_stream(params, cfg, audio, faint)
+        assert not encodes
         silent = run_stream(params, cfg, audio, robot)
         assert len(encodes) == 1
         assert [_fields(r) for r in silent] == [_fields(r) for r in full]
+        # silence is read from the features, so the faint robot's silent
+        # windows take the stored encoding too
+        assert [_fields(r) for r in run_stream(params, cfg, audio, faint)] == [
+            _fields(r) for r in full
+        ]
+        assert len(encodes) == 2
 
     def test_rebinding_params_gives_new_params_ticks(self, monkeypatch):
         cfg = ModelConfig()
@@ -334,6 +349,27 @@ class TestSilentRobot:
             for field in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
                 assert abs(getattr(r, field) - getattr(s, field)) <= 1e-9, field
 
+    def test_replay_robot_silent_after_start(self, monkeypatch):
+        cfg = ModelConfig()
+        params = _trained_like_params(cfg, seed=32)
+        audio = _audio(12.0, seed=33)
+        # the robot speaks until 0.8 s, so windows from tick 58 on are silent:
+        # of the blocks of ticks 1-32, 33-64, 65-96 and 97-120, the last two
+        robot = _burst_robot(audio.size, [(0.5, 0.3)], seed=34)
+        streamed = run_stream(params, cfg, audio, robot)
+        encodes = _count_encodes(monkeypatch)
+        user, robot_calls = _record_model_inputs(monkeypatch)
+        replayed = replay(params, cfg, audio, robot)
+        assert streaming.REPLAY_BLOCK == 32 and len(user) == 4
+        # one full encoding per speaking block, then the stored one, made once
+        assert len(encodes) == 1
+        assert [(n, len(feats)) for n, feats in robot_calls] == [(0, 32), (1, 32), (2, 1)]
+        assert len(replayed) == len(streamed) == 120
+        for r, s in zip(replayed, streamed):
+            assert r.frame_index == s.frame_index
+            for field in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
+                assert abs(getattr(r, field) - getattr(s, field)) <= 1e-9, field
+
     def test_replay_encodes_silent_robot_once(self, params, cfg, monkeypatch):
         audio = _audio(4.0, seed=23)
         encodes = _count_encodes(monkeypatch)
@@ -342,6 +378,69 @@ class TestSilentRobot:
         assert len(encodes) == 2
         replay(params, cfg, audio, _burst_robot(audio.size, [(1.0, 0.1)], seed=24))
         assert len(encodes) == 2
+
+
+def _gappy_user(seconds, seed):
+    """User noise with digital-zero gaps: 1.2 s, 0.35 s (shorter than a
+    400 ms frame) and 0.55 s long."""
+    audio = _audio(seconds, seed=seed)
+    for lo, hi in [(1.0, 2.2), (3.05, 3.4), (4.0, 4.55)]:
+        audio[int(lo * 16000) : int(hi * 16000)] = 0.0
+    return audio
+
+
+class TestUserZeroGaps:
+    """A hop whose 400 ms frame holds no nonzero sample gets the silent rows
+    without the frontend, on the user channel as on the robot's."""
+
+    def test_gaps_keep_both_contracts(self, cfg):
+        params = _trained_like_params(cfg, seed=30)
+        audio = _gappy_user(6.0, seed=31)
+        base = run_stream(params, cfg, audio)
+        for chunk in (731, 160000):
+            assert [_fields(r) for r in run_stream(params, cfg, audio, chunk_samples=chunk)] == [
+                _fields(r) for r in base
+            ]
+        oracle = offline_frame_results(params, cfg, audio)
+        assert len(base) == len(oracle) == 60
+        for r, o in zip(base, oracle):
+            assert max(abs(r.p_now_user - o[0]), abs(r.p_now_robot - o[1])) <= 1e-5
+
+    def test_frontend_runs_only_on_frames_with_sound(self, params, cfg, monkeypatch):
+        audio = _gappy_user(6.0, seed=31)
+        frames = []
+        frame_rows = streaming._frame_rows
+        monkeypatch.setattr(
+            streaming, "_frame_rows", lambda f: frames.append(f.copy()) or frame_rows(f)
+        )
+        run_stream(params, cfg, audio)
+        sounding = [k for k in range(1, 61) if audio[max(0, k - 4) * 1600 : k * 1600].any()]
+        assert 30 < len(sounding) < 60
+        # the robot is silent throughout, so every call is the user's frame
+        assert np.array_equal(np.concatenate(frames), hop_frames(audio)[np.array(sounding) - 1])
+
+
+class TestAudioShape:
+    """Audio must be 1-D: a 2-D array is not read as interleaved mono."""
+
+    def test_push_audio_rejects_before_queueing(self, params, cfg):
+        ctx = StreamContext(params, cfg)
+        ctx.push_audio(np.zeros(100))
+        with pytest.raises(ValueError, match=r"\(1600, 2\)"):
+            ctx.push_audio(np.zeros((1600, 2)))
+        with pytest.raises(ValueError, match=r"\(1, 1600\)"):
+            ctx.push_audio(np.zeros(1600), np.zeros((1, 1600)))
+        assert ctx.samples_pending == 100
+
+    def test_run_stream_rejects(self, params, cfg):
+        with pytest.raises(ValueError, match=r"\(3200, 2\)"):
+            run_stream(params, cfg, np.zeros((3200, 2)))
+
+    def test_replay_rejects(self, params, cfg):
+        with pytest.raises(ValueError, match=r"\(3200, 2\)"):
+            replay(params, cfg, np.zeros((3200, 2)))
+        with pytest.raises(ValueError, match=r"\(2, 3200\)"):
+            replay(params, cfg, np.zeros(3200), np.zeros((2, 3200)))
 
 
 class TestNonFiniteAudio:

@@ -324,6 +324,19 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="tie_channels"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bands", [40, 20])
+    def test_stored_feature_bands(self, tmp_path, bands):
+        # configs saved while feature_bands was a field hold it as 40
+        cfg = ModelConfig()
+        meta = json.dumps({"version": 1, "config": {**cfg.to_json_dict(), "feature_bands": bands}})
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, __meta__=np.array(meta), **init_params(cfg))
+        if bands == 40:
+            assert load_checkpoint(path)[1] == cfg
+        else:
+            with pytest.raises(CheckpointError, match="feature_bands 20"):
+                load_checkpoint(path)
+
     def test_history_csv_roundtrip(self, tmp_path):
         history = [
             {

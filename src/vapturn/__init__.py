@@ -1,40 +1,15 @@
 """Noise-robust voice activity projection turn-taking engine."""
 
-from .audio import (
-    SAMPLE_RATE,
-    StereoDialogue,
-    VadTrack,
-    Waveform,
-    load_wav,
-    mean_power,
-    save_wav,
-    vad_from_energy,
-)
-from .codebook import (
-    BinConfig,
-    ProjectionWindow,
-    decode_state,
-    encode_state,
-    p_now,
-    p_now_pair,
-    window_from_labels,
-)
-from .endpointing import (
-    SttSimConfig,
-    TurnEvent,
-    VapEndpointerConfig,
-    arbitrate,
-    stt_decide,
-    vap_decide,
-)
+from .audio import SAMPLE_RATE, StereoDialogue, VadTrack, Waveform, load_wav, save_wav
+from .codebook import p_now_pair
+from .endpointing import SttSimConfig, VapEndpointerConfig, arbitrate, stt_decide, vap_decide
 from .features import extract_features
-from .model import FrameBatch, ModelConfig, PredictionOutput, forward, grad_check, init_params, loss
-from .noise import Condition, NoiseBank, mix_at_snr, sample_condition, split_dataset, synthetic_noise_bank
+from .model import FrameBatch, ModelConfig, forward, init_params
+from .noise import Condition, NoiseBank, sample_condition, split_dataset, synthetic_noise_bank
 from .simulate import (
     DialogueScript,
     ResponseTimeRecord,
     SessionStats,
-    generate_dialogue,
     generate_scripted_dialogue,
     run_session,
     summarize,

@@ -167,41 +167,3 @@ def mean_power(w: Waveform) -> float:
     if len(w) == 0:
         raise EmptyWaveformError("cannot compute power of an empty waveform")
     return float(np.mean(w.samples**2))
-
-
-def apply_hangover(frames: np.ndarray, hangover_frames: int) -> np.ndarray:
-    """Extend raw activity frames: a frame is active if any raw-active frame lies
-    within the preceding hangover_frames (causal dilation).
-
-    Expects raw (un-extended) activity; re-applying to an already extended track
-    extends further, i.e. apply_hangover(apply_hangover(x, h), h) covers 2h.
-    """
-    frames = np.asarray(frames, dtype=bool)
-    if hangover_frames < 0:
-        raise AudioError("hangover must be >= 0")
-    if hangover_frames == 0 or frames.size == 0:
-        return frames.copy()
-    n = frames.size
-    idx = np.arange(n)
-    last_active = np.maximum.accumulate(np.where(frames, idx, -n))
-    return (idx - last_active) <= hangover_frames
-
-
-def vad_from_energy(w: Waveform, threshold_db: float, hangover_ms: float) -> VadTrack:
-    """Energy-threshold activity labels on 10 ms frames, extended by a hangover.
-
-    threshold_db is relative to full scale (0 dB = unit mean-square power); a
-    frame is active iff its energy strictly exceeds the threshold. Label
-    generation only; never used at inference time.
-    """
-    if len(w) == 0:
-        raise EmptyWaveformError("cannot label an empty waveform")
-    if hangover_ms < 0:
-        raise AudioError("hangover_ms must be >= 0")
-    n_frames = label_frame_count(len(w))
-    padded = np.zeros(n_frames * SAMPLES_PER_LABEL_FRAME)
-    padded[: len(w)] = w.samples
-    energy = np.mean(padded.reshape(n_frames, SAMPLES_PER_LABEL_FRAME) ** 2, axis=1)
-    raw = energy > 10.0 ** (threshold_db / 10.0)
-    hang = int(round(hangover_ms * LABEL_FRAME_RATE / 1000.0))
-    return VadTrack(apply_hangover(raw, hang))

@@ -82,7 +82,8 @@ def _flag(key: str) -> str:
 
 def _typed(key: str, opt: Opt, value):
     """A config-file value checked against its option: exactly the option's
-    kind (an int is accepted for a float), None only where the default is."""
+    kind (an int is accepted for a float, but not NaN or inf), None only
+    where the default is."""
     if value is None and opt.default is None:
         return None
     if opt.append:
@@ -92,6 +93,8 @@ def _typed(key: str, opt: Opt, value):
         value = float(value)
     if type(value) is not opt.kind:
         raise CliConfigError(f"config key {key!r} must be {opt.kind.__name__}, got {value!r}")
+    if opt.kind is float and not math.isfinite(value):
+        raise CliConfigError(f"config key {key!r} must be finite, got {value!r}")
     if opt.choices and value not in opt.choices:
         raise CliConfigError(f"config key {key!r} must be one of {opt.choices}, got {value!r}")
     return value
@@ -140,8 +143,10 @@ def _resolve(args, file_cfg: dict, options: dict) -> dict:
     out = {}
     for key, opt in options.items():
         out[key] = _typed(key, opt, file_cfg[key]) if key in file_cfg else opt.default
-        if getattr(args, key) is not None:
-            out[key] = getattr(args, key)
+        if (flag := getattr(args, key)) is not None:
+            if opt.kind is float and not math.isfinite(flag):
+                raise CliConfigError(f"{_flag(key)} must be finite, got {flag}")
+            out[key] = flag
         if opt.required and not out[key]:
             raise CliConfigError(f"{args.command} requires {_flag(key)}")
     return out
@@ -175,15 +180,22 @@ def _script_from(resolved: dict, file_cfg: dict) -> DialogueScript:
 
 
 def _parse_snr_tokens(text: str) -> tuple:
+    """'clean' (inf) or a finite dB value per comma-separated token."""
     out = []
     for token in text.split(","):
         token = token.strip().lower()
         if not token:
             continue
+        if token == "clean":
+            out.append(math.inf)
+            continue
         try:
-            out.append(math.inf if token == "clean" else float(token))
-        except ValueError as exc:
-            raise CliConfigError(f"SNR list {text!r}: {token!r} is not a number or 'clean'") from exc
+            snr = float(token)
+        except ValueError:
+            snr = math.nan
+        if not math.isfinite(snr):
+            raise CliConfigError(f"SNR list {text!r}: {token!r} is not a finite number or 'clean'")
+        out.append(snr)
     if not out:
         raise CliConfigError("empty SNR list")
     return tuple(out)
@@ -354,6 +366,8 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
         )
     if resolved["n_dialogues"] < 1:
         raise CliConfigError(f"--n-dialogues must be >= 1, got {resolved['n_dialogues']}")
+    if resolved["response_delay"] < 0:
+        raise CliConfigError(f"--response-delay must be >= 0, got {resolved['response_delay']}")
     vap_cfg = _config(
         VapEndpointerConfig,
         theta=resolved["theta"],

@@ -2,145 +2,71 @@
 
 Encoding layout: state = sum over speakers s and bins i of bit(s, i) * 2^(4s + i).
 The user (speaker 0) occupies the low 4 bits and bin 0 is the least significant
-bit. This ordering is the canonical serialization order for model outputs.
+bit. This ordering is the canonical serialization order for model outputs;
+`state_bit` is its one definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .audio import LABEL_FRAME_RATE
 
 N_SPEAKERS = 2
 N_BINS = 4
 N_STATES = 2 ** (N_SPEAKERS * N_BINS)
-HORIZON_S = 2.0
-HORIZON_FRAMES = int(HORIZON_S * LABEL_FRAME_RATE)
 
-# First two bins span exactly 0-600 ms, the near-term window that p_now reads.
-DEFAULT_BIN_BOUNDARIES_S = (0.2, 0.6, 1.2, 2.0)
+# Bin edges in 10 ms label frames after the prediction point: 0-0.2, 0.2-0.6,
+# 0.6-1.2 and 1.2-2.0 s. The first two bins span exactly 0-600 ms, the
+# near-term window that p_now reads. A bin is active when at least
+# ACTIVITY_RATIO of its frames are.
+BIN_EDGES_FRAMES = (0, 20, 60, 120, 200)
+HORIZON_FRAMES = BIN_EDGES_FRAMES[-1]
+ACTIVITY_RATIO = 0.5
 NOW_BINS = (0, 1)
+LABELS_PER_FEATURE_FRAME = 10
 
 
-class StateIndexError(ValueError):
-    pass
+def state_bit(speaker: int, bin_idx: int) -> int:
+    """Bit position of (speaker, bin) in a state index."""
+    return N_BINS * speaker + bin_idx
 
 
-class WindowTooShortError(ValueError):
-    pass
+def frame_targets(labels_a, labels_b, n_frames: int):
+    """Per-frame projection-state and activity targets for a whole dialogue.
 
-
-@dataclass(frozen=True)
-class BinConfig:
-    """Future-horizon bin layout and the per-bin activity threshold."""
-
-    boundaries_s: tuple = DEFAULT_BIN_BOUNDARIES_S
-    activity_ratio: float = 0.5
-
-    def __post_init__(self):
-        b = tuple(float(x) for x in self.boundaries_s)
-        if len(b) != N_BINS:
-            raise ValueError(f"expected {N_BINS} bin boundaries, got {len(b)}")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)) or b[0] <= 0:
-            raise ValueError(f"boundaries must be strictly ascending and positive: {b}")
-        if b[-1] != HORIZON_S:
-            raise ValueError(f"last boundary must be {HORIZON_S} s, got {b[-1]}")
-        if not 0.0 < self.activity_ratio <= 1.0:
-            raise ValueError(f"activity_ratio must be in (0, 1], got {self.activity_ratio}")
-        object.__setattr__(self, "boundaries_s", b)
-
-    @property
-    def edges_frames(self) -> tuple:
-        """Label-frame bin edges, e.g. (0, 20, 60, 120, 200) for the defaults."""
-        return (0,) + tuple(int(round(b * LABEL_FRAME_RATE)) for b in self.boundaries_s)
-
-
-@dataclass(frozen=True)
-class ProjectionWindow:
-    """2 x 4 future-activity bit pattern; bits[s][i] for speaker s, bin i."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(bool(b) for b in row) for row in self.bits)
-        if len(rows) != N_SPEAKERS or any(len(r) != N_BINS for r in rows):
-            raise ValueError(f"bits must be {N_SPEAKERS}x{N_BINS}, got {self.bits!r}")
-        object.__setattr__(self, "bits", rows)
-
-    def swapped(self) -> "ProjectionWindow":
-        return ProjectionWindow((self.bits[1], self.bits[0]))
-
-
-def encode_state(window: ProjectionWindow) -> int:
-    """Pack a projection window into its class index in [0, 255]."""
-    value = 0
-    for s in range(N_SPEAKERS):
-        for i in range(N_BINS):
-            if window.bits[s][i]:
-                value |= 1 << (4 * s + i)
-    return value
-
-
-def decode_state(idx: int) -> ProjectionWindow:
-    """Inverse of encode_state."""
-    if not 0 <= idx < N_STATES:
-        raise StateIndexError(f"state index {idx} outside [0, {N_STATES - 1}]")
-    bits = tuple(
-        tuple(bool((idx >> (4 * s + i)) & 1) for i in range(N_BINS)) for s in range(N_SPEAKERS)
-    )
-    return ProjectionWindow(bits)
-
-
-def window_from_labels(vad_a, vad_b, cfg: BinConfig = BinConfig()) -> ProjectionWindow:
-    """Build the projection target from the 2 s of labels after a prediction frame.
-
-    Each slice must cover exactly the 200 label frames following the frame; a
-    bin is active when the fraction of active frames inside it reaches the
-    configured activity ratio (>= at the boundary).
+    Feature frame g predicts from label frame (g+1)*10 onward; frames whose 2 s
+    horizon overruns the labels get target_state -1 and are excluded from the
+    loss.
     """
-    rows = []
-    for frames in (vad_a, vad_b):
-        arr = np.asarray(frames, dtype=bool)
-        if arr.size < HORIZON_FRAMES:
-            raise WindowTooShortError(
-                f"need {HORIZON_FRAMES} future label frames, got {arr.size}"
-            )
-        arr = arr[:HORIZON_FRAMES]
-        edges = cfg.edges_frames
-        rows.append(
-            tuple(
-                float(np.mean(arr[edges[i] : edges[i + 1]])) >= cfg.activity_ratio
-                for i in range(N_BINS)
-            )
-        )
-    return ProjectionWindow(tuple(rows))
+    labels_a = np.asarray(labels_a, dtype=bool)
+    labels_b = np.asarray(labels_b, dtype=bool)
+    n_labels = labels_a.size
+    starts = (np.arange(n_frames) + 1) * LABELS_PER_FEATURE_FRAME
+    valid = starts + HORIZON_FRAMES <= n_labels
+    state = np.zeros(n_frames, dtype=np.int64)
+    for s_idx, labels in enumerate((labels_a, labels_b)):
+        cum = np.concatenate([[0], np.cumsum(labels)])
+        for i in range(N_BINS):
+            lo, hi = BIN_EDGES_FRAMES[i], BIN_EDGES_FRAMES[i + 1]
+            width = hi - lo
+            pos_lo = np.minimum(starts + lo, n_labels)
+            pos_hi = np.minimum(starts + hi, n_labels)
+            frac = (cum[pos_hi] - cum[pos_lo]) / width
+            bit = (frac >= ACTIVITY_RATIO) & valid
+            state |= bit.astype(np.int64) << state_bit(s_idx, i)
+    state[~valid] = -1
+    prev = np.minimum(starts - 1, n_labels - 1)
+    target_vad = np.stack([labels_a[prev], labels_b[prev]], axis=-1).astype(np.float64)
+    return state, target_vad
 
 
-def _now_weight_table() -> np.ndarray:
-    """(256, 2) table: fraction of a state's near-term bins active per speaker."""
-    table = np.zeros((N_STATES, N_SPEAKERS))
-    for idx in range(N_STATES):
-        w = decode_state(idx)
-        for s in range(N_SPEAKERS):
-            table[idx, s] = sum(w.bits[s][i] for i in NOW_BINS) / len(NOW_BINS)
-    return table
-
-
-_NOW_WEIGHTS = _now_weight_table()
-
-_SWAP_PERMUTATION = np.array(
-    [encode_state(decode_state(i).swapped()) for i in range(N_STATES)], dtype=np.int64
+# (256, 2): the share of each speaker's near-term bins that a state has active.
+_NOW_WEIGHTS = np.stack(
+    [
+        sum((np.arange(N_STATES) >> state_bit(s, i)) & 1 for i in NOW_BINS) / len(NOW_BINS)
+        for s in range(N_SPEAKERS)
+    ],
+    axis=-1,
 )
-
-
-def swap_speakers(probs: np.ndarray) -> np.ndarray:
-    """Permute a 256-way distribution so the two speakers' roles are exchanged."""
-    probs = np.asarray(probs, dtype=np.float64)
-    out = np.empty_like(probs)
-    out[..., _SWAP_PERMUTATION] = probs
-    return out
 
 
 def _check_distribution(probs: np.ndarray) -> np.ndarray:

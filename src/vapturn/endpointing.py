@@ -34,7 +34,7 @@ class VapEndpointerConfig:
             raise ValueError(f"theta must be in (0.5, 1), got {self.theta}")
         if self.consecutive_k < 1:
             raise ValueError("consecutive_k must be >= 1")
-        if self.min_user_speech_ms < 0:
+        if not self.min_user_speech_ms >= 0:
             raise ValueError("min_user_speech_ms must be >= 0")
 
 
@@ -46,7 +46,7 @@ class SttSimConfig:
     latency: SampleDist = field(default_factory=SampleDist)
 
     def __post_init__(self):
-        if self.silence_threshold_ms <= 0:
+        if not self.silence_threshold_ms > 0:
             raise ValueError("silence_threshold_ms must be > 0")
 
 

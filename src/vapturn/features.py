@@ -17,7 +17,6 @@ HOP_SAMPLES = SAMPLE_RATE // 10
 WINDOW_SAMPLES = 4 * HOP_SAMPLES
 N_MELS = 40
 LOG_FLOOR = 1e-10
-FRAME_RATE_HZ = 10.0
 
 
 def hz_to_mel(f):

@@ -45,13 +45,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("model_dim", "channel_layers", "cross_layers", "heads", "context_frames", "ffn_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.model_dim % self.heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
             )
-        for name in ("model_dim", "channel_layers", "cross_layers", "heads", "context_frames", "ffn_mult"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     @property
     def feature_bands(self) -> int:
@@ -186,10 +186,6 @@ def init_params(cfg: ModelConfig, seed: int | None = None) -> dict:
     p["vad.W"] = rng.standard_normal((d, 2)) * HEAD_INIT_STD
     p["vad.b"] = np.zeros(2)
     return p
-
-
-def param_count(params: dict) -> int:
-    return sum(v.size for v in params.values())
 
 
 def clone_params(params: dict) -> dict:

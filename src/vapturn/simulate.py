@@ -96,12 +96,12 @@ class DialogueScript:
             raise ValueError("n_turns must be >= 0")
         for name in ("user_utterance_s", "robot_utterance_s", "lead_in_s"):
             lo, hi = getattr(self, name)
-            if lo <= 0 or hi < lo:
+            if not (lo > 0 and hi >= lo):
                 raise ValueError(f"{name} must be a positive (min, max) range")
         for name in ("pause_prob", "continuation_prob", "final_cue_prob", "hold_cue_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.tail_s < 0:
+        if not self.tail_s >= 0:
             raise ValueError("tail_s must be >= 0")
 
     def to_json_dict(self) -> dict:
@@ -288,10 +288,6 @@ def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
     return ScriptedDialogue(stereo=stereo, turns=tuple(turns), seed=script.seed)
 
 
-def generate_dialogue(script: DialogueScript) -> StereoDialogue:
-    return generate_scripted_dialogue(script).stereo
-
-
 @dataclass(frozen=True)
 class ResponseTimeRecord:
     """Measured response gaps for one user turn of a simulated session."""
@@ -428,6 +424,8 @@ def run_session(
     """
     if (params is None) != (model_cfg is None):
         raise ValueError("params and model_cfg must be given together")
+    if not response_delay_s >= 0:
+        raise ValueError(f"response_delay_s must be >= 0, got {response_delay_s}")
     stt = _race(dialogue, None, vap_cfg, stt_cfg, response_delay_s, seed)
     if params is None:
         return {"stt": stt}

@@ -97,9 +97,9 @@ class SampleDist:
     def __post_init__(self):
         if self.family not in ("lognormal", "normal", "constant", "uniform"):
             raise ValueError(f"unknown distribution family {self.family!r}")
-        if self.mean_s < 0 or self.std_s < 0:
+        if not (self.mean_s >= 0 and self.std_s >= 0):
             raise ValueError("mean_s and std_s must be >= 0")
-        if self.family == "lognormal" and self.mean_s <= 0:
+        if self.family == "lognormal" and not self.mean_s > 0:
             raise ValueError("lognormal requires mean_s > 0")
 
     def sample(self, rng: np.random.Generator) -> float:

@@ -1,4 +1,4 @@
-"""Training loop, target construction, per-SNR evaluation, and checkpoint I/O."""
+"""Training loop, per-SNR evaluation, and checkpoint I/O."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio import StereoDialogue
-from .codebook import HORIZON_FRAMES, BinConfig, N_BINS
+from .codebook import frame_targets
 from .features import extract_features, silent_features
 from .model import (
     FrameBatch,
@@ -26,7 +26,6 @@ from .model import (
 from .noise import NoiseBank, TRAIN_SNRS_DB, Condition, apply_condition, sample_condition
 
 CHECKPOINT_VERSION = 1
-LABELS_PER_FEATURE_FRAME = 10
 HISTORY_COLUMNS = (
     "epoch",
     "train_loss",
@@ -64,37 +63,6 @@ class AugmentConfig:
             raise ValueError(f"mode must be 'clean' or 'mc', got {self.mode!r}")
         if not 0.0 <= self.zero_robot_prob <= 1.0:
             raise ValueError("zero_robot_prob must be in [0, 1]")
-
-
-def frame_targets(labels_a, labels_b, n_frames: int):
-    """Per-frame projection-state and activity targets for a whole dialogue.
-
-    Feature frame g predicts from label frame (g+1)*10 onward; frames whose 2 s
-    horizon overruns the labels get target_state -1 and are excluded from the
-    loss. Vectorized equivalent of window_from_labels over every frame.
-    """
-    labels_a = np.asarray(labels_a, dtype=bool)
-    labels_b = np.asarray(labels_b, dtype=bool)
-    n_labels = labels_a.size
-    starts = (np.arange(n_frames) + 1) * LABELS_PER_FEATURE_FRAME
-    valid = starts + HORIZON_FRAMES <= n_labels
-    cfg = BinConfig()
-    edges = cfg.edges_frames
-    state = np.zeros(n_frames, dtype=np.int64)
-    for s_idx, labels in enumerate((labels_a, labels_b)):
-        cum = np.concatenate([[0], np.cumsum(labels)])
-        for i in range(N_BINS):
-            lo, hi = edges[i], edges[i + 1]
-            width = hi - lo
-            pos_lo = np.minimum(starts + lo, n_labels)
-            pos_hi = np.minimum(starts + hi, n_labels)
-            frac = (cum[pos_hi] - cum[pos_lo]) / width
-            bit = (frac >= cfg.activity_ratio) & valid
-            state |= bit.astype(np.int64) << (4 * s_idx + i)
-    state[~valid] = -1
-    prev = np.minimum(starts - 1, n_labels - 1)
-    target_vad = np.stack([labels_a[prev], labels_b[prev]], axis=-1).astype(np.float64)
-    return state, target_vad
 
 
 def dialogue_frames(dialogue: StereoDialogue) -> FrameBatch:
@@ -165,11 +133,6 @@ def _eval_loss(params, cfg: ModelConfig, batches, batch_size: int = 64) -> LossB
     if n_total == 0:
         raise EmptyDatasetError("no frames with targets to evaluate")
     return LossBreakdown(*(tot / n_total))
-
-
-def evaluate_items(params, cfg: ModelConfig, items) -> LossBreakdown:
-    """Mean loss over full dialogues, each frame counted once."""
-    return _eval_loss(params, cfg, [dialogue_frames(dialogue) for _, dialogue in items])
 
 
 def _prepare_items(items) -> list:
@@ -401,13 +364,3 @@ def write_history_csv(path, history) -> None:
         writer.writeheader()
         for row in history:
             writer.writerow(row)
-
-
-def read_history_csv(path) -> list:
-    with open(path, newline="") as fh:
-        rows = []
-        for row in csv.DictReader(fh):
-            rows.append(
-                {k: (int(v) if k == "epoch" else float(v)) for k, v in row.items()}
-            )
-        return rows

@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from vapturn.audio import Waveform, mean_power
-from vapturn.codebook import (
-    N_STATES,
-    ProjectionWindow,
-    decode_state,
-    encode_state,
-    p_now,
-)
+from vapturn.codebook import N_STATES, frame_targets, p_now
 from vapturn.endpointing import SOURCE_STT, SOURCE_VAP
 from vapturn.model import (
     FrameBatch,
@@ -35,7 +29,7 @@ from vapturn.noise import mix_at_snr, synthetic_noise_bank
 from vapturn.experiment import make_corpus, session_records, snr_tables, train_pair
 from vapturn.simulate import compare_robot_response, summarize
 from vapturn.streaming import run_stream
-from vapturn.training import evaluate_items
+from vapturn.training import eval_per_snr
 
 LN256 = math.log(N_STATES)
 
@@ -81,18 +75,19 @@ def latency_sim(trained, model_cfg):
 
 
 def test_c01_codebook_bijectivity():
+    # frame 0's horizon is label frames 10-209; bins span 20/40/60/80 frames
+    edges = (10, 30, 70, 130, 210)
     t0 = time.perf_counter()
     for idx in range(N_STATES):
-        assert encode_state(decode_state(idx)) == idx
-    for idx in range(N_STATES):
-        bits = tuple(
-            tuple(bool((idx >> (4 * s + i)) & 1) for i in range(4)) for s in range(2)
-        )
-        window = ProjectionWindow(bits)
-        assert decode_state(encode_state(window)) == window
+        labels = np.zeros((2, 210), dtype=bool)
+        for s in range(2):
+            for i in range(4):
+                labels[s, edges[i] : edges[i + 1]] = (idx >> (4 * s + i)) & 1
+        state, _ = frame_targets(labels[0], labels[1], 1)
+        assert state[0] == idx
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    report(1, f"encode/decode exact over all {N_STATES} states in {elapsed:.3f}s")
+    report(1, f"each of the {N_STATES} bit patterns encodes to its own state in {elapsed:.3f}s")
 
 
 def test_c02_p_now_oracle_equivalence():
@@ -162,7 +157,7 @@ def test_c04_gradient_check(model_cfg):
     report(4, f"24 sampled coordinates: max relative error {err:.2e}, {elapsed:.1f}s")
 
 
-def test_c05_analytic_loss_anchors(corpus, model_cfg):
+def test_c05_analytic_loss_anchors(corpus, model_cfg, noise_bank):
     t = 16
     rng = np.random.default_rng(5)
     batch = FrameBatch(
@@ -177,10 +172,11 @@ def test_c05_analytic_loss_anchors(corpus, model_cfg):
     breakdown = loss(uniform, batch)
     assert abs(breakdown.vap - LN256) <= 1e-6
     fresh = init_params(model_cfg, seed=11)
-    valid_bd = evaluate_items(fresh, model_cfg, corpus["valid"])
-    assert abs(valid_bd.vap - LN256) <= 0.5
+    [table], _ = eval_per_snr([(fresh, model_cfg)], corpus["valid"], noise_bank, snr_list=(math.inf,))
+    valid_vap = table[math.inf]
+    assert abs(valid_vap - LN256) <= 0.5
     report(5, f"uniform L_vap = {breakdown.vap:.6f} (ln 256 = {LN256:.6f}); "
-              f"fresh-init valid L_vap = {valid_bd.vap:.3f}")
+              f"fresh-init valid L_vap = {valid_vap:.3f}")
 
 
 @pytest.mark.slow

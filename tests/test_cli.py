@@ -9,7 +9,12 @@ import pytest
 from vapturn.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from vapturn.audio import Waveform, load_wav, save_wav
 from vapturn.model import ModelConfig, init_params
-from vapturn.training import read_history_csv, save_checkpoint
+from vapturn.training import save_checkpoint
+
+
+def read_history(path) -> list:
+    with open(path, newline="") as fh:
+        return [{k: int(v) if k == "epoch" else float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +91,11 @@ class TestTrain:
             "valid_vap",
             "valid_vad",
         ]
-        rows = read_history_csv(workspace["run"] / "history.csv")
+        rows = read_history(workspace["run"] / "history.csv")
         assert len(rows) == 3  # epoch 0 plus two epochs
 
     def test_first_epoch_near_uniform_anchor(self, workspace):
-        rows = read_history_csv(workspace["run"] / "history.csv")
+        rows = read_history(workspace["run"] / "history.csv")
         assert abs(rows[0]["valid_vap"] - math.log(256)) <= 0.5
 
     def test_clean_and_mc_checkpoints_differ(self, workspace, tmp_path):
@@ -135,6 +140,7 @@ class TestTrain:
             ({"model_dim": 0}, []),
             ({}, ["--model-dim", "33", "--heads", "2"]),
             ({}, ["--channel-layers", "0"]),
+            ({}, ["--heads", "0"]),
         ],
     )
     def test_invalid_model_config_is_config_error(self, workspace, tmp_path, config, flags):
@@ -144,6 +150,7 @@ class TestTrain:
             "train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m"),
             "--config", str(cfg_path), "--quiet", *flags,
         ]) == EXIT_CONFIG
+        assert not (tmp_path / "m").exists()
 
     def test_feature_bands_is_not_an_option(self, workspace, tmp_path):
         # the feature width is always the frontend's 40 bands
@@ -433,6 +440,21 @@ class TestOptionTable:
             ("simulate", {}, ["--policies", "teleport"]),
             ("simulate", {}, ["--policies", ","]),
             ("simulate", {}, ["--policies", "stt,stt"]),
+            # a float that is NaN or infinite, from a flag, a config file or a
+            # script block, and a negative response delay
+            ("simulate", {}, ["--stt-silence-ms", "nan"]),
+            ("simulate", {}, ["--latency-mean", "nan"]),
+            ("simulate", {}, ["--response-delay", "nan"]),
+            ("simulate", {}, ["--response-delay", "-5"]),
+            ("simulate", {}, ["--min-user-speech-ms", "nan"]),
+            ("simulate", {"latency_std": math.nan}, []),
+            ("train", {"lr": math.inf}, []),
+            ("bench", {}, ["--seconds", "inf"]),
+            ("stream", {}, ["--chunk-ms", "nan"]),
+            ("synth-data", {"script": {"tail_s": math.nan}}, []),
+            ("eval", {}, ["--snrs=-inf"]),
+            ("eval", {}, ["--snrs", "clean,nan"]),
+            ("train", {}, ["--train-snrs", "clean,inf"]),
         ],
     )
     def test_rejected_value_exits_2_before_work(self, workspace, tmp_path, command, config, flags):

@@ -4,19 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vapturn.codebook import (
-    BinConfig,
     N_STATES,
-    ProjectionWindow,
-    StateIndexError,
-    WindowTooShortError,
-    decode_state,
-    encode_state,
+    _NOW_WEIGHTS,
     entropy_nats,
+    frame_targets,
     p_now,
     p_now_pair,
-    swap_speakers,
-    window_from_labels,
 )
+
+# label-frame bin edges of the 2 s horizon: 0-0.2, 0.2-0.6, 0.6-1.2, 1.2-2.0 s
+EDGES = (0, 20, 60, 120, 200)
 
 
 def oracle_decode_bits(idx: int):
@@ -37,78 +34,71 @@ def oracle_p_now(probs, speaker):
     return acc[speaker] / total
 
 
+def horizon(bits):
+    """200 label frames with each bin fully active where its bit is set."""
+    out = np.zeros(200, dtype=bool)
+    for i, bit in enumerate(bits):
+        out[EDGES[i] : EDGES[i + 1]] = bit
+    return out
+
+
+def first_state(horizon_a, horizon_b, lead=False):
+    """Target state of feature frame 0, whose horizon is label frames 10-209
+    after 10 lead frames, all active or all silent."""
+    pad = np.full(10, lead)
+    state, _ = frame_targets(np.concatenate([pad, horizon_a]), np.concatenate([pad, horizon_b]), 1)
+    return int(state[0])
+
+
+SILENT = horizon((0, 0, 0, 0))
+FULL = horizon((1, 1, 1, 1))
+
+
 class TestEncoding:
     def test_all_zero_is_zero(self):
-        assert encode_state(ProjectionWindow(((0, 0, 0, 0), (0, 0, 0, 0)))) == 0
+        assert first_state(SILENT, SILENT) == 0
 
     def test_all_one_is_255(self):
-        assert encode_state(ProjectionWindow(((1, 1, 1, 1), (1, 1, 1, 1)))) == 255
+        assert first_state(FULL, FULL) == 255
 
     def test_single_bits(self):
-        assert encode_state(ProjectionWindow(((1, 0, 0, 0), (0, 0, 0, 0)))) == 1
-        assert encode_state(ProjectionWindow(((0, 0, 0, 0), (1, 0, 0, 0)))) == 16
+        assert first_state(horizon((1, 0, 0, 0)), SILENT) == 1
+        assert first_state(SILENT, horizon((1, 0, 0, 0))) == 16
 
     def test_decode_endpoints(self):
-        assert decode_state(0) == ProjectionWindow(((0,) * 4, (0,) * 4))
-        assert decode_state(255) == ProjectionWindow(((1,) * 4, (1,) * 4))
-
-    def test_exhaustive_bijectivity(self):
-        # all 256 indices round-trip, and against the independent bit oracle
-        for idx in range(N_STATES):
-            w = decode_state(idx)
-            assert encode_state(w) == idx
-            assert [list(map(int, row)) for row in w.bits] == oracle_decode_bits(idx)
-        # every 2x4 bit pattern round-trips the other way
+        # p_now's table reads each state through the same layout
+        assert _NOW_WEIGHTS[0].tolist() == [0.0, 0.0]
+        assert _NOW_WEIGHTS[255].tolist() == [1.0, 1.0]
         for idx in range(N_STATES):
             bits = oracle_decode_bits(idx)
-            assert decode_state(encode_state(ProjectionWindow(tuple(map(tuple, bits))))).bits == ProjectionWindow(tuple(map(tuple, bits))).bits
+            assert _NOW_WEIGHTS[idx].tolist() == [(row[0] + row[1]) / 2 for row in bits]
 
-    def test_out_of_range(self):
-        with pytest.raises(StateIndexError):
-            decode_state(256)
-        with pytest.raises(StateIndexError):
-            decode_state(-1)
+    def test_exhaustive_bijectivity(self):
+        # every 2x4 bit pattern gets its own state, the one the oracle decodes
+        for idx in range(N_STATES):
+            bits_a, bits_b = oracle_decode_bits(idx)
+            assert first_state(horizon(bits_a), horizon(bits_b)) == idx
 
 
 class TestWindowFromLabels:
+    """Each frame's projection window, built by frame_targets from its labels."""
+
     def test_silent_window_zero(self):
-        z = np.zeros(200, dtype=bool)
-        assert encode_state(window_from_labels(z, z)) == 0
+        # activity before the horizon sets no bit
+        assert first_state(SILENT, SILENT, lead=True) == 0
 
     def test_user_active_entire_horizon(self):
-        a = np.ones(200, dtype=bool)
-        b = np.zeros(200, dtype=bool)
-        assert encode_state(window_from_labels(a, b)) == 15
+        assert first_state(FULL, SILENT) == 15
 
     def test_threshold_boundary(self):
         # bin 0 covers frames 0..19; 100 ms = 10 frames = exactly half
         a = np.zeros(200, dtype=bool)
         a[:10] = True
-        b = np.zeros(200, dtype=bool)
-        w = window_from_labels(a, b)
-        assert w.bits[0][0] is True
+        assert first_state(a, SILENT) == 1
         # 90 ms = 9 of 20 frames -> below threshold
         a9 = np.zeros(200, dtype=bool)
         a9[:9] = True
-        assert window_from_labels(a9, b).bits[0][0] is False
-
-    def test_counts_against_frame_oracle(self):
-        rng = np.random.default_rng(0)
-        cfg = BinConfig()
-        edges = cfg.edges_frames
-        for _ in range(50):
-            a = rng.random(200) < 0.4
-            b = rng.random(200) < 0.4
-            w = window_from_labels(a, b, cfg)
-            for s, lab in enumerate((a, b)):
-                for i in range(4):
-                    frames = lab[edges[i] : edges[i + 1]]
-                    expect = frames.sum() / len(frames) >= 0.5
-                    assert w.bits[s][i] == expect
-
-    def test_short_slice_rejected(self):
-        with pytest.raises(WindowTooShortError):
-            window_from_labels(np.zeros(199, dtype=bool), np.zeros(200, dtype=bool))
+        assert first_state(a9, SILENT) == 0
 
     @given(st.integers(min_value=0, max_value=199))
     @settings(max_examples=30, deadline=None)
@@ -116,26 +106,11 @@ class TestWindowFromLabels:
         rng = np.random.default_rng(5)
         a = rng.random(200) < 0.3
         b = rng.random(200) < 0.3
-        w1 = window_from_labels(a, b)
+        s1 = first_state(a, b)
         a2 = a.copy()
         a2[extra] = True
-        w2 = window_from_labels(a2, b)
-        for s in range(2):
-            for i in range(4):
-                assert w2.bits[s][i] >= w1.bits[s][i]
-
-
-class TestBinConfig:
-    def test_default_edges(self):
-        assert BinConfig().edges_frames == (0, 20, 60, 120, 200)
-
-    def test_rejects_bad_boundaries(self):
-        with pytest.raises(ValueError):
-            BinConfig(boundaries_s=(0.6, 0.2, 1.2, 2.0))
-        with pytest.raises(ValueError):
-            BinConfig(boundaries_s=(0.2, 0.6, 1.2, 1.9))
-        with pytest.raises(ValueError):
-            BinConfig(activity_ratio=0.0)
+        s2 = first_state(a2, b)
+        assert s2 & s1 == s1
 
 
 class TestPNow:
@@ -145,7 +120,7 @@ class TestPNow:
         assert p_now(uniform, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_one_hot_user_near_bins(self):
-        idx = encode_state(ProjectionWindow(((1, 1, 0, 0), (0, 0, 0, 0))))
+        idx = 0b0000_0011  # user bins 0 and 1
         one_hot = np.zeros(256)
         one_hot[idx] = 1.0
         assert p_now(one_hot, 0) == 1.0
@@ -153,7 +128,7 @@ class TestPNow:
 
     def test_degenerate_mass_returns_half(self):
         # all mass on states with no near-term activity for either speaker
-        idx = encode_state(ProjectionWindow(((0, 0, 1, 1), (0, 0, 1, 1))))
+        idx = 0b1100_1100  # bins 2 and 3 of both speakers
         one_hot = np.zeros(256)
         one_hot[idx] = 1.0
         assert p_now(one_hot, 0) == 0.5
@@ -179,7 +154,13 @@ class TestPNow:
         rng = np.random.default_rng(2)
         probs = rng.random(256)
         probs /= probs.sum()
-        swapped = swap_speakers(probs)
+        # state idx of the swapped distribution holds the mass of the state
+        # with the two speakers' bits exchanged
+        swap = []
+        for idx in range(N_STATES):
+            user, robot = oracle_decode_bits(idx)
+            swap.append(sum(bit << (4 * s + i) for s, row in enumerate((robot, user)) for i, bit in enumerate(row)))
+        swapped = probs[swap]
         assert p_now(swapped, 0) == pytest.approx(p_now(probs, 1), abs=1e-12)
         assert p_now(swapped, 1) == pytest.approx(p_now(probs, 0), abs=1e-12)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,10 @@ class TestVapDecide:
             VapEndpointerConfig(theta=0.5)
         with pytest.raises(ValueError):
             VapEndpointerConfig(consecutive_k=0)
+        with pytest.raises(ValueError):
+            VapEndpointerConfig(min_user_speech_ms=math.nan)
+        with pytest.raises(ValueError):
+            SttSimConfig(silence_threshold_ms=math.nan)
 
 
 class TestSttDecide:

@@ -1,6 +1,7 @@
 """Smoke tests for scripts/ and perfbench/: an API change that breaks a
 script or a name the traced benchmark wraps fails here."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,6 +12,7 @@ from vapturn import features, model, streaming
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -55,3 +57,23 @@ def test_traced_benchmark_wraps_resolve(monkeypatch):
         tracer.restore()
     assert streaming.extract_features is features.extract_features
     assert streaming.forward is model.forward
+
+
+def test_benchmark_imports_resolve():
+    # every vapturn module and name the benchmark imports, found by parsing
+    # its files, exists; a deletion that breaks one fails here rather than
+    # as a failed benchmark run
+    imports = set()
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vapturn"):
+                imports.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imports.update((alias.name, None) for alias in node.names if alias.name.startswith("vapturn"))
+    assert ("vapturn.training", "slice_windows") in imports
+    missing = []
+    for module, name in sorted(imports, key=str):
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            missing.append(f"{module}.{name}")
+    assert not missing

@@ -1,17 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
-from vapturn.audio import vad_from_energy
 from vapturn.endpointing import SOURCE_STT, SOURCE_VAP, SttSimConfig, VapEndpointerConfig
 from vapturn.model import ModelConfig, init_params
 from vapturn.simulate import (
     DialogueScript,
     ResponseTimeRecord,
     compare_robot_response,
-    generate_dialogue,
     generate_scripted_dialogue,
     render_burst,
     run_session,
@@ -19,6 +19,15 @@ from vapturn.simulate import (
     summarize,
 )
 from vapturn.stats import SampleDist
+
+
+def energy_labels(samples, threshold_db: float):
+    """10 ms frames whose mean-square energy exceeds threshold_db re full
+    scale; a partial last frame is zero-padded."""
+    n = -(-samples.size // 160)
+    padded = np.zeros(n * 160)
+    padded[: samples.size] = samples
+    return np.mean(padded.reshape(n, 160) ** 2, axis=1) > 10.0 ** (threshold_db / 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +56,8 @@ class TestGeneration:
             (dialogue.stereo.channel_a, dialogue.stereo.vad_a),
             (dialogue.stereo.channel_b, dialogue.stereo.vad_b),
         ):
-            detected = vad_from_energy(chan, threshold_db=-45.0, hangover_ms=0.0)
-            agreement = float(np.mean(detected.frames == vad.frames))
+            detected = energy_labels(chan.samples, threshold_db=-45.0)
+            agreement = float(np.mean(detected == vad.frames))
             assert agreement >= 0.99
 
     def test_turn_timeline_orders(self, dialogue):
@@ -66,10 +75,6 @@ class TestGeneration:
             end_frame = int(round(turn.user_end_s * 100))
             assert frames[end_frame - 1]
             assert not frames[end_frame]
-
-    def test_generate_dialogue_wrapper(self):
-        stereo = generate_dialogue(DialogueScript(n_turns=1, seed=2))
-        assert stereo.duration_s > 0
 
     def test_speaker_tilts_differ(self):
         rng = np.random.default_rng(0)
@@ -106,6 +111,22 @@ class TestGeneration:
         cued = render_burst(1.5, np.random.default_rng(2), -4.0, cue="final")
         tail_rms = lambda x: float(np.sqrt(np.mean(x[-1600:] ** 2)))
         assert tail_rms(cued) < 0.6 * tail_rms(flat)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SampleDist("normal", math.nan, 0.1),
+            lambda: SampleDist("normal", 1.0, math.nan),
+            lambda: SampleDist("lognormal", math.nan, 0.1),
+            lambda: DialogueScript(tail_s=math.nan),
+            lambda: DialogueScript(lead_in_s=(math.nan, 1.0)),
+            lambda: DialogueScript(lead_in_s=(0.5, math.nan)),
+        ],
+        ids=["normal_mean", "normal_std", "lognormal_mean", "tail", "lead_in_lo", "lead_in_hi"],
+    )
+    def test_script_settings_reject_nan(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_unknown_cue_rejected(self):
         with pytest.raises(ValueError):
@@ -148,6 +169,11 @@ class TestRunSession:
         assert list(run_session(dialogue, seed=3)) == ["stt"]
         with pytest.raises(ValueError, match="together"):
             run_session(dialogue, model_cfg=ModelConfig())
+
+    @pytest.mark.parametrize("delay", [-5.0, math.nan])
+    def test_rejects_response_delay_below_zero_or_nan(self, dialogue, delay):
+        with pytest.raises(ValueError, match="response_delay_s"):
+            run_session(dialogue, response_delay_s=delay, seed=3)
 
     def test_raced_policies_share_the_cloud_decision(self, dialogue):
         # theta just above the untrained model's p_now_robot of about 0.5, so

@@ -69,7 +69,6 @@ def main(argv=None):
           f"premature={h.n_premature} ({h.n_premature / h.n_turns:.3f})", flush=True)
     print(f"means: vap_subset={vap_mean:.3f} hybrid={h.robot['mean']:.3f} "
           f"stt={s_.robot['mean']:.3f}  p={cmp_res.p_value:.2e} paired_dominance={paired}", flush=True)
-    print(f"user response means: hybrid={h.user['mean']:.2f}", flush=True)
     print(f"TOTAL {time.perf_counter()-t_all:.0f}s", flush=True)
 
 

@@ -180,7 +180,8 @@ def _script_from(resolved: dict, file_cfg: dict) -> DialogueScript:
 
 
 def _parse_snr_tokens(text: str) -> tuple:
-    """'clean' (inf) or a finite dB value per comma-separated token."""
+    """'clean' (inf) or a finite dB value per comma-separated token, each at
+    most once."""
     out = []
     for token in text.split(","):
         token = token.strip().lower()
@@ -198,6 +199,8 @@ def _parse_snr_tokens(text: str) -> tuple:
         out.append(snr)
     if not out:
         raise CliConfigError("empty SNR list")
+    if len(set(out)) < len(out):
+        raise CliConfigError(f"SNR list {text!r} repeats a value")
     return tuple(out)
 
 

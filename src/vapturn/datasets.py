@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .audio import LABEL_FRAME_RATE, StereoDialogue, VadTrack, load_wav, save_wav
 from .noise import split_dataset
-from .simulate import DialogueScript, ScriptedDialogue, ScriptedTurn, generate_scripted_dialogue
+from .simulate import (
+    DialogueScript,
+    ScriptedDialogue,
+    ScriptedTurn,
+    generate_scripted_dialogue,
+    session_scripts,
+)
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -51,9 +56,8 @@ def write_dataset(out_dir, n_items: int, script: DialogueScript, seed: int) -> d
     train, valid, test = split_dataset(ids, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for i, item_id in enumerate(ids):
-        item_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-        sd = generate_scripted_dialogue(replace(script, seed=item_seed))
+    for item_id, item_script in zip(ids, session_scripts(n_items, script, seed)):
+        sd = generate_scripted_dialogue(item_script)
         save_wav(sd.stereo.channel_a, out / f"{item_id}_user.wav")
         save_wav(sd.stereo.channel_b, out / f"{item_id}_robot.wav")
         labels = {
@@ -73,7 +77,7 @@ def write_dataset(out_dir, n_items: int, script: DialogueScript, seed: int) -> d
                 }
                 for t in sd.turns
             ],
-            "seed": item_seed,
+            "seed": item_script.seed,
         }
         with open(out / f"{item_id}_labels.json", "w") as fh:
             json.dump(labels, fh, sort_keys=True)

@@ -50,64 +50,16 @@ class SttSimConfig:
             raise ValueError("silence_threshold_ms must be > 0")
 
 
-@dataclass(frozen=True)
-class TurnEvent:
-    """One end-of-user-turn decision with its deciding source."""
-
-    decision_time_s: float
-    true_end_time_s: float
-    source: str
-    latency_s: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "decision_time_s": self.decision_time_s,
-            "true_end_time_s": self.true_end_time_s,
-            "source": self.source,
-            "latency_s": self.latency_s,
-        }
-
-
-class OnlineVapEndpointer:
-    """Frame-by-frame variant of vap_decide; holds per-turn state."""
-
-    def __init__(self, cfg: VapEndpointerConfig):
-        self.cfg = cfg
-        self.reset()
-
-    def reset(self) -> None:
-        self._consecutive = 0
-        self._speech_ms = 0.0
-        self.decision_s: float | None = None
-
-    def observe(self, frame) -> float | None:
-        """Feed one FrameResult; returns the decision time the first time the
-        detector fires, else None."""
-        if self.decision_s is not None:
-            return None
-        if frame.vad_user >= VAD_SPEECH_THRESHOLD:
-            self._speech_ms += FRAME_MS
-        if frame.p_now_robot > self.cfg.theta:
-            self._consecutive += 1
-        else:
-            self._consecutive = 0
-        if (
-            self._consecutive >= self.cfg.consecutive_k
-            and self._speech_ms >= self.cfg.min_user_speech_ms
-        ):
-            self.decision_s = frame.timestamp_s
-            return self.decision_s
-        return None
-
-
 def vap_decide(frames, cfg: VapEndpointerConfig = VapEndpointerConfig()) -> float | None:
     """Earliest time where p_now_robot exceeds theta for k consecutive frames,
     after enough detected user speech; None if the detector never fires."""
-    detector = OnlineVapEndpointer(cfg)
+    run = speech = 0
     for frame in frames:
-        decision = detector.observe(frame)
-        if decision is not None:
-            return decision
+        if frame.vad_user >= VAD_SPEECH_THRESHOLD:
+            speech += 1
+        run = run + 1 if frame.p_now_robot > cfg.theta else 0
+        if run >= cfg.consecutive_k and speech * FRAME_MS >= cfg.min_user_speech_ms:
+            return frame.timestamp_s
     return None
 
 
@@ -122,16 +74,10 @@ def stt_decide(vad: VadTrack, cfg: SttSimConfig, rng: np.random.Generator) -> fl
     return speech_end + cfg.silence_threshold_ms / 1000.0 + cfg.latency.sample(rng)
 
 
-def arbitrate(vap_decision: float | None, stt_decision: float, true_end_time_s: float) -> TurnEvent:
-    """Race the two endpointers; the earlier decision wins and ties go to the
-    local detector. The cloud path always exists, so a turn can never stall."""
+def arbitrate(vap_decision: float | None, stt_decision: float) -> tuple[float, str]:
+    """Race the two endpointers: (decision time, source). The earlier decision
+    wins and ties go to the local detector. The cloud path always exists, so a
+    turn can never stall."""
     if vap_decision is not None and vap_decision <= stt_decision:
-        decision, source = vap_decision, SOURCE_VAP
-    else:
-        decision, source = stt_decision, SOURCE_STT
-    return TurnEvent(
-        decision_time_s=decision,
-        true_end_time_s=true_end_time_s,
-        source=source,
-        latency_s=decision - true_end_time_s,
-    )
+        return vap_decision, SOURCE_VAP
+    return stt_decision, SOURCE_STT

@@ -235,15 +235,15 @@ def _alibi_slopes(heads: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _score_bias(t_q: int, t_kv: int, heads: int):
+def _score_bias(t: int, heads: int):
     """Causal mask plus a per-head linear distance penalty on attention scores.
 
     The distance term gives the model a clock: without it, runs of identical
     silence frames are indistinguishable and silence duration is unreadable.
     """
-    mask = np.zeros((t_q, t_kv))
-    mask[np.triu_indices(t_q, k=1, m=t_kv)] = -np.inf
-    dist = np.maximum(np.arange(t_q)[:, None] - np.arange(t_kv)[None, :], 0)
+    mask = np.zeros((t, t))
+    mask[np.triu_indices(t, k=1)] = -np.inf
+    dist = np.maximum(np.arange(t)[:, None] - np.arange(t)[None, :], 0)
     bias = mask[None] - _alibi_slopes(heads)[:, None, None] * dist[None]
     bias.setflags(write=False)
     return bias
@@ -265,7 +265,7 @@ def _attn_fwd(q_in, kv_in, p, base, heads):
     k = (kv_in @ p[f"{base}.Wk"] + p[f"{base}.bk"]).reshape(b, t_kv, heads, dh).transpose(0, 2, 1, 3)
     v = (kv_in @ p[f"{base}.Wv"] + p[f"{base}.bv"]).reshape(b, t_kv, heads, dh).transpose(0, 2, 1, 3)
     scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
-    scores += _score_bias(t_kv, t_kv, heads)[None, :, t_kv - t_q :]
+    scores += _score_bias(t_kv, heads)[None, :, t_kv - t_q :]
     scores -= scores.max(axis=-1, keepdims=True)
     expd = np.exp(scores)
     attn = expd / expd.sum(axis=-1, keepdims=True)

@@ -290,11 +290,11 @@ def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
 
 @dataclass(frozen=True)
 class ResponseTimeRecord:
-    """Measured response gaps for one user turn of a simulated session."""
+    """Decision time, deciding source and robot response gap for one user
+    turn of a simulated session."""
 
     turn: int
     robot_response_s: float
-    user_response_s: float | None
     source: str
     decision_time_s: float
     true_end_time_s: float
@@ -304,7 +304,6 @@ class ResponseTimeRecord:
         return {
             "turn": self.turn,
             "robot_response_s": self.robot_response_s,
-            "user_response_s": self.user_response_s,
             "source": self.source,
             "decision_time_s": self.decision_time_s,
             "true_end_time_s": self.true_end_time_s,
@@ -318,7 +317,6 @@ class SessionStats:
     """Descriptive statistics over a set of response-time records."""
 
     robot: dict
-    user: dict | None
     histogram: list
     vap_source_fraction: float
     n_turns: int
@@ -327,7 +325,6 @@ class SessionStats:
     def to_json_dict(self) -> dict:
         return {
             "robot_response": self.robot,
-            "user_response": self.user,
             "robot_histogram": [[b, c] for b, c in self.histogram],
             "vap_source_fraction": self.vap_source_fraction,
             "n_turns": self.n_turns,
@@ -355,8 +352,7 @@ def _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed) -> list:
     alone). Each turn's cloud decision is drawn from its own seeded stream,
     so every race at one seed draws the same one."""
     records = []
-    turns = dialogue.turns
-    for k, turn in enumerate(turns):
+    for k, turn in enumerate(dialogue.turns):
         window_start, window_end = _turn_window(dialogue, k)
         turn_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
         stt_slice = _slice_vad(dialogue.stereo.vad_a, window_start, window_end)
@@ -365,20 +361,15 @@ def _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed) -> list:
         if frames is not None:
             turn_frames = [fr for fr in frames if window_start < fr.timestamp_s <= window_end]
             vap_t = vap_decide(turn_frames, vap_cfg)
-        event = arbitrate(vap_t, stt_t, turn.user_end_s)
-        robot_response = max(0.0, event.decision_time_s + response_delay_s - turn.user_end_s)
-        user_response = None
-        if k + 1 < len(turns):
-            user_response = turns[k + 1].user_start_s - turn.robot_end_s
+        decision, source = arbitrate(vap_t, stt_t)
         records.append(
             ResponseTimeRecord(
                 turn=k,
-                robot_response_s=robot_response,
-                user_response_s=user_response,
-                source=event.source,
-                decision_time_s=event.decision_time_s,
+                robot_response_s=max(0.0, decision + response_delay_s - turn.user_end_s),
+                source=source,
+                decision_time_s=decision,
                 true_end_time_s=turn.user_end_s,
-                premature=event.decision_time_s < turn.user_end_s,
+                premature=decision < turn.user_end_s,
             )
         )
     return records
@@ -441,11 +432,9 @@ def summarize(records) -> SessionStats:
     if not records:
         raise ValueError("no records to summarize")
     robot_vals = [r.robot_response_s for r in records]
-    user_vals = [r.user_response_s for r in records if r.user_response_s is not None]
     vap_fraction = sum(1 for r in records if r.source == SOURCE_VAP) / len(records)
     return SessionStats(
         robot=describe(robot_vals),
-        user=describe(user_vals) if user_vals else None,
         histogram=histogram_fixed(robot_vals),
         vap_source_fraction=vap_fraction,
         n_turns=len(records),

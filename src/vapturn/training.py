@@ -291,6 +291,8 @@ def eval_per_snr(
     models, test_items = list(models), list(test_items)
     if not test_items:
         raise EmptyDatasetError("empty test set")
+    if len(set(snr_list)) < len(snr_list):
+        raise ValueError(f"snr_list {snr_list} repeats a value; each row is keyed by its SNR")
     prepared = _prepare_items(test_items)
     tables = [{} for _ in models]
     provenance = []

@@ -455,6 +455,8 @@ class TestOptionTable:
             ("eval", {}, ["--snrs=-inf"]),
             ("eval", {}, ["--snrs", "clean,nan"]),
             ("train", {}, ["--train-snrs", "clean,inf"]),
+            ("eval", {}, ["--snrs", "5,5,clean"]),
+            ("train", {}, ["--train-snrs", "clean,5,5"]),
         ],
     )
     def test_rejected_value_exits_2_before_work(self, workspace, tmp_path, command, config, flags):

@@ -26,7 +26,7 @@ def test_run_experiments_runs(capsys):
     _load("run_experiments").main(["--n-dialogues", "10", "--epochs", "1", "--n-sessions", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == [
-        "corpus", "mc:", "clean:", "eval", "eval", "eval", "deg", "sim", "means:", "user", "TOTAL",
+        "corpus", "mc:", "clean:", "eval", "eval", "eval", "deg", "sim", "means:", "TOTAL",
     ]
     assert lines[0].startswith("corpus 10 dlgs")
     assert "valid_vap" in lines[1] and "valid_vap" in lines[2]

@@ -210,6 +210,14 @@ class TestEvalPerSnr:
         with pytest.raises(EmptyDatasetError):
             eval_per_snr([({}, ModelConfig())], [], synthetic_noise_bank(0))
 
+    def test_repeated_snr_rejected_before_work(self, corpus, monkeypatch):
+        # the table is keyed by SNR, so a repeated row would overwrite the first
+        monkeypatch.setattr(training, "_prepare_items", lambda items: pytest.fail("did work"))
+        with pytest.raises(ValueError, match="repeats"):
+            eval_per_snr(
+                [({}, ModelConfig())], corpus[:1], synthetic_noise_bank(0), snr_list=(5.0, 5.0, math.inf)
+            )
+
     def test_equals_per_row_extraction(self, corpus, monkeypatch):
         # reference: every row builds each item's whole-dialogue batch again
         # from its mixed dialogue; the result must be exactly the same, from

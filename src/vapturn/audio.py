@@ -36,16 +36,11 @@ class EmptyWaveformError(AudioError):
 
 @dataclass(frozen=True, eq=False)
 class Waveform:
-    """Immutable mono waveform with amplitudes in [-1, 1] at exactly 16 kHz."""
+    """Immutable mono waveform with amplitudes in [-1, 1], sampled at SAMPLE_RATE."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise UnsupportedSampleRateError(
-                f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}"
-            )
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise AudioError(f"samples must be 1-D, got shape {arr.shape}")
@@ -64,19 +59,16 @@ class Waveform:
 
     @property
     def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 @dataclass(frozen=True, eq=False)
 class VadTrack:
-    """Boolean voice-activity labels on a 10 ms (100 Hz) frame grid."""
+    """Boolean voice-activity labels at LABEL_FRAME_RATE (10 ms frames)."""
 
     frames: np.ndarray
-    frame_rate: int = LABEL_FRAME_RATE
 
     def __post_init__(self):
-        if self.frame_rate != LABEL_FRAME_RATE:
-            raise AudioError(f"frame_rate must be {LABEL_FRAME_RATE}, got {self.frame_rate}")
         arr = np.asarray(self.frames, dtype=bool)
         if arr.ndim != 1:
             raise AudioError(f"frames must be 1-D, got shape {arr.shape}")
@@ -89,7 +81,7 @@ class VadTrack:
 
     @property
     def duration_s(self) -> float:
-        return len(self.frames) / self.frame_rate
+        return len(self.frames) / LABEL_FRAME_RATE
 
 
 def label_frame_count(n_samples: int) -> int:

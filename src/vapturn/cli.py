@@ -42,7 +42,7 @@ from .simulate import (
     summarize,
 )
 from .stats import SampleDist
-from .streaming import StreamContext, run_stream
+from .streaming import TICK_PERIOD_S, StreamContext, run_stream
 from .training import (
     AugmentConfig,
     CheckpointError,
@@ -219,9 +219,7 @@ NOISE_OPTIONS = {"noise_dir": Opt(), "noise_seed": Opt(0, int)}
 
 
 def _model_config(resolved: dict) -> ModelConfig:
-    return _config(
-        ModelConfig, seed=resolved["seed"], **{key: resolved[key] for key in MODEL_OPTIONS}
-    )
+    return _config(ModelConfig, **{key: resolved[key] for key in MODEL_OPTIONS})
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ _AUGMENT = AugmentConfig()
 TRAIN_OPTIONS = {
     "data": Opt(required=True),
     "out": Opt(required=True),
-    "mode": Opt(_AUGMENT.mode, choices=("clean", "mc")),
+    "mode": Opt("mc", choices=("clean", "mc")),
     "epochs": Opt(50, int),
     "lr": Opt(0.3, float),
     "lr_decay": Opt(0.0, float),
@@ -271,7 +269,6 @@ def cmd_train(resolved: dict, file_cfg: dict) -> int:
     cfg = _model_config(resolved)
     augment = _config(
         AugmentConfig,
-        mode=resolved["mode"],
         snr_set=_parse_snr_tokens(resolved["train_snrs"]),
         zero_robot_prob=resolved["zero_robot_prob"],
     )
@@ -398,15 +395,14 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
         print(f"checkpoint {checkpoint} not used: policy stt needs no model", file=sys.stderr)
         checkpoint = None
     seed = resolved["seed"]
-    scripts = session_scripts(resolved["n_dialogues"], script, seed)
-    dialogues = [generate_scripted_dialogue(s) for s in scripts]
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     all_records = {policy: [] for policy in policies}
-    for i, dialogue in enumerate(dialogues):
+    # one dialogue's audio at a time: each script carries its own seed
+    for i, dialogue_script in enumerate(session_scripts(resolved["n_dialogues"], script, seed)):
         session = run_session(
-            dialogue,
+            generate_scripted_dialogue(dialogue_script),
             params=params,
             model_cfg=cfg,
             vap_cfg=vap_cfg,
@@ -500,12 +496,12 @@ def cmd_stream(resolved: dict, file_cfg: dict) -> int:
                 sink.write(result.to_json_line() + "\n")
                 compute.append(result.compute_ms)
                 if resolved["realtime"]:
-                    time.sleep(max(0.0, 0.1 - result.compute_ms / 1000.0))
+                    time.sleep(max(0.0, TICK_PERIOD_S - result.compute_ms / 1000.0))
     finally:
         if sink is not sys.stdout:
             sink.close()
     mean_ms = float(np.mean(compute)) if compute else 0.0
-    rtf = mean_ms / 100.0
+    rtf = mean_ms / (1000 * TICK_PERIOD_S)
     print(
         f"streamed {len(compute)} frames, mean compute {mean_ms:.2f} ms/tick, "
         f"real-time factor {rtf:.3f}",
@@ -566,7 +562,7 @@ def cmd_bench(resolved: dict, file_cfg: dict) -> int:
         "mean_ms": float(ms.mean()),
         "p95_ms": float(np.percentile(ms, 95)),
         "max_ms": float(ms.max()),
-        "rtf_mean": float(ms.mean() / 100.0),
+        "rtf_mean": float(ms.mean() / (1000 * TICK_PERIOD_S)),
         **_machine_info(),
     }
     print(json.dumps(report, sort_keys=True))

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .audio import SAMPLES_PER_LABEL_FRAME
+from .features import HOP_SAMPLES
+
 N_SPEAKERS = 2
 N_BINS = 4
 N_STATES = 2 ** (N_SPEAKERS * N_BINS)
@@ -22,7 +25,7 @@ BIN_EDGES_FRAMES = (0, 20, 60, 120, 200)
 HORIZON_FRAMES = BIN_EDGES_FRAMES[-1]
 ACTIVITY_RATIO = 0.5
 NOW_BINS = (0, 1)
-LABELS_PER_FEATURE_FRAME = 10
+LABELS_PER_FEATURE_FRAME = HOP_SAMPLES // SAMPLES_PER_LABEL_FRAME
 
 
 def state_bit(speaker: int, bin_idx: int) -> int:

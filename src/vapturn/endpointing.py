@@ -8,13 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioError, VadTrack
+from .audio import LABEL_FRAME_RATE, SAMPLE_RATE, AudioError, VadTrack
+from .features import HOP_SAMPLES
 from .stats import SampleDist
 
 SOURCE_VAP = "vap"
 SOURCE_STT = "stt"
 VAD_SPEECH_THRESHOLD = 0.5
-FRAME_MS = 100.0
+FRAME_MS = 1000 * HOP_SAMPLES / SAMPLE_RATE
 
 
 class NoSpeechError(AudioError):
@@ -70,7 +71,7 @@ def stt_decide(vad: VadTrack, cfg: SttSimConfig, rng: np.random.Generator) -> fl
     active = np.nonzero(frames)[0]
     if active.size == 0:
         raise NoSpeechError("no speech in track; nothing to finalize")
-    speech_end = (int(active[-1]) + 1) / vad.frame_rate
+    speech_end = (int(active[-1]) + 1) / LABEL_FRAME_RATE
     return speech_end + cfg.silence_threshold_ms / 1000.0 + cfg.latency.sample(rng)
 
 

@@ -15,7 +15,7 @@ from .model import ModelConfig
 from .noise import NoiseBank
 from .simulate import POLICIES, DialogueScript, generate_scripted_dialogue, run_session, session_scripts
 from .stats import SampleDist
-from .training import AugmentConfig, eval_per_snr, fit
+from .training import eval_per_snr, fit
 
 N_DIALOGUES = 200
 EPOCHS = 50
@@ -50,7 +50,6 @@ def train_pair(corpus: dict, cfg: ModelConfig, bank: NoiseBank, epochs: int = EP
             epochs=epochs,
             lr=0.3,
             lr_decay=0.02,
-            augment=AugmentConfig(mode=mode),
             bank=bank if mode == "mc" else None,
             seed=0,
         )

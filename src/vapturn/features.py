@@ -27,19 +27,20 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_band_edges_hz(n_mels: int = N_MELS, fmin: float = 0.0, fmax: float = SAMPLE_RATE / 2):
-    """n_mels + 2 triangle edge frequencies, equally spaced on the mel scale."""
-    return mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+def mel_band_edges_hz():
+    """N_MELS + 2 triangle edge frequencies from 0 Hz to Nyquist, equally
+    spaced on the mel scale."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), N_MELS + 2))
 
 
-@lru_cache(maxsize=4)
-def mel_filterbank(n_mels: int = N_MELS) -> np.ndarray:
-    """(n_mels, n_fft_bins) triangular weights over the rfft bins of one window."""
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
+    """(N_MELS, n_fft_bins) triangular weights over the rfft bins of one window."""
     n_bins = WINDOW_SAMPLES // 2 + 1
     freqs = np.fft.rfftfreq(WINDOW_SAMPLES, d=1.0 / SAMPLE_RATE)
-    edges = mel_band_edges_hz(n_mels)
-    bank = np.zeros((n_mels, n_bins))
-    for k in range(n_mels):
+    edges = mel_band_edges_hz()
+    bank = np.zeros((N_MELS, n_bins))
+    for k in range(N_MELS):
         lo, mid, hi = edges[k], edges[k + 1], edges[k + 2]
         rising = (freqs - lo) / (mid - lo)
         falling = (hi - freqs) / (hi - mid)

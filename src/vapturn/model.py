@@ -42,7 +42,6 @@ class ModelConfig:
     heads: int = 2
     context_frames: int = 50
     ffn_mult: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("model_dim", "channel_layers", "cross_layers", "heads", "context_frames", "ffn_mult"):
@@ -70,14 +69,16 @@ class ModelConfig:
             "heads": self.heads,
             "context_frames": self.context_frames,
             "ffn_mult": self.ffn_mult,
-            "seed": self.seed,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of to_json_dict. Stored configs may hold "feature_bands",
-        no longer a field: dropped when it is N_MELS, ValueError otherwise."""
+        """Inverse of to_json_dict. Stored configs may hold two keys that are
+        not fields: "feature_bands", dropped when it is N_MELS and a
+        ValueError otherwise, and "seed", always dropped (init_params takes
+        its seed as an argument)."""
         d = dict(d)
+        d.pop("seed", None)
         if (bands := d.pop("feature_bands", N_MELS)) != N_MELS:
             raise ValueError(f"feature_bands {bands} unsupported: the frontend emits {N_MELS} bands")
         return cls(**d)
@@ -138,9 +139,9 @@ class LossBreakdown(NamedTuple):
 # parameters
 
 
-def init_params(cfg: ModelConfig, seed: int | None = None) -> dict:
+def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
     """Fresh parameter dict; trunk weights at 1/sqrt(fan_in), heads near zero."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     d = cfg.model_dim
     hidden = cfg.ffn_mult * d
     p: dict[str, np.ndarray] = {}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioError, Waveform, load_wav, mean_power
+from .audio import SAMPLE_RATE, AudioError, Waveform, load_wav, mean_power
 
 CLEAN = math.inf
 DEFAULT_SNRS_DB = (5.0, 10.0, 15.0, 20.0)
@@ -27,6 +27,13 @@ class DatasetSplitError(ValueError):
     pass
 
 
+def check_snr(snr_db: float) -> None:
+    """Raise ValueError unless snr_db is a dB value or CLEAN: NaN has no
+    meaning, and -inf (noise only) has no finite noise gain."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"SNR must be finite or +inf (clean), got {snr_db}")
+
+
 @dataclass(frozen=True)
 class Condition:
     """One augmentation draw: which noise clip and at what SNR (inf = clean)."""
@@ -34,9 +41,12 @@ class Condition:
     noise_name: str
     snr_db: float
 
+    def __post_init__(self):
+        check_snr(self.snr_db)
+
     @property
     def is_clean(self) -> bool:
-        return math.isinf(self.snr_db)
+        return self.snr_db == CLEAN
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,9 +109,11 @@ def mix_at_snr(
     The signal is the loudness reference: gain is applied to the noise only,
     g = sqrt(P_signal / (P_noise * 10^(snr/10))), so the measured SNR of the two
     addends equals the target before clipping. snr_db = inf returns the signal
-    unchanged. Returns the mixture and the number of samples clipped to [-1, 1].
+    unchanged; NaN and -inf raise ValueError. Returns the mixture and the
+    number of samples clipped to [-1, 1].
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    check_snr(snr_db)
+    if snr_db == CLEAN:
         return signal, 0
     p_sig = mean_power(signal)
     if p_sig == 0.0:
@@ -175,7 +187,7 @@ def write_conditions_jsonl(records, path) -> None:
 def shape_noise(white: np.ndarray, tilt_db_per_octave: float) -> np.ndarray:
     """Apply a spectral tilt (dB per octave around 1 kHz) and peak-normalize."""
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(white.size, d=1.0 / 16000)
+    freqs = np.fft.rfftfreq(white.size, d=1.0 / SAMPLE_RATE)
     freqs[0] = freqs[1]
     octaves = np.log2(freqs / 1000.0)
     spectrum *= 10.0 ** (tilt_db_per_octave * octaves / 20.0)
@@ -186,7 +198,7 @@ def shape_noise(white: np.ndarray, tilt_db_per_octave: float) -> np.ndarray:
 def synthetic_noise_bank(seed: int = 0, duration_s: float = 5.0) -> NoiseBank:
     """Built-in stand-in noise bank: white, pink, and babble-like clips."""
     rng = np.random.default_rng(seed)
-    n = int(duration_s * 16000)
+    n = int(duration_s * SAMPLE_RATE)
     white = rng.standard_normal(n)
     white /= np.abs(white).max()
     pink = shape_noise(rng.standard_normal(n), -3.0)
@@ -196,8 +208,8 @@ def synthetic_noise_bank(seed: int = 0, duration_s: float = 5.0) -> NoiseBank:
         gate = np.zeros(n)
         pos = 0
         while pos < n:
-            burst = int(rng.uniform(0.15, 0.6) * 16000)
-            gap = int(rng.uniform(0.05, 0.4) * 16000)
+            burst = int(rng.uniform(0.15, 0.6) * SAMPLE_RATE)
+            gap = int(rng.uniform(0.05, 0.4) * SAMPLE_RATE)
             gate[pos : pos + burst] = 1.0
             pos += burst + gap
         babble += stream * gate

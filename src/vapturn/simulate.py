@@ -333,8 +333,8 @@ class SessionStats:
 
 
 def _slice_vad(vad: VadTrack, start_s: float, end_s: float) -> VadTrack:
-    f0 = int(round(start_s * vad.frame_rate))
-    f1 = int(round(end_s * vad.frame_rate))
+    f0 = int(round(start_s * LABEL_FRAME_RATE))
+    f1 = int(round(end_s * LABEL_FRAME_RATE))
     return VadTrack(vad.frames[f0:f1])
 
 

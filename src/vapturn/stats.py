@@ -14,21 +14,6 @@ class RankSumResult(NamedTuple):
     p_value: float
 
 
-def _rank_with_ties(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def rank_sum_test(x, y) -> RankSumResult:
     """Two-sided Mann-Whitney rank-sum test, normal approximation with tie
     correction and continuity correction."""
@@ -38,13 +23,14 @@ def rank_sum_test(x, y) -> RankSumResult:
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
     combined = np.concatenate([x, y])
-    ranks = _rank_with_ties(combined)
+    _, inverse, counts = np.unique(combined, return_inverse=True, return_counts=True)
+    # 1-based ranks: tied values share the mean of their ranks
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     r1 = float(ranks[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
     u = max(u1, u2)
     n = n1 + n2
-    _, counts = np.unique(combined, return_counts=True)
     tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import SAMPLE_RATE, Waveform
 from .codebook import entropy_nats, p_now_pair
 from .features import (
     HOP_SAMPLES,
@@ -48,7 +48,7 @@ from .features import (
 # a name perfbench's traced run wraps
 from .model import ModelConfig, encode_channel, forward, forward_last  # noqa: F401
 
-TICK_PERIOD_S = 0.1
+TICK_PERIOD_S = HOP_SAMPLES / SAMPLE_RATE
 # a hop's rows: its 400 ms frame keeping the samples _KEEP[kind] marks, its last kind + 1 hops
 _KINDS = WINDOW_SAMPLES // HOP_SAMPLES
 _KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - np.arange(_KINDS))[:, None] * HOP_SAMPLES

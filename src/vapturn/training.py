@@ -23,7 +23,7 @@ from .model import (
     loss_from_logits,
     _forward,
 )
-from .noise import NoiseBank, TRAIN_SNRS_DB, Condition, apply_condition, sample_condition
+from .noise import NoiseBank, TRAIN_SNRS_DB, Condition, apply_condition, check_snr, sample_condition
 
 CHECKPOINT_VERSION = 1
 HISTORY_COLUMNS = (
@@ -52,15 +52,17 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """How training audio is perturbed, re-drawn per item per epoch."""
+    """How training audio is perturbed, re-drawn per item per epoch. The
+    noise conditions are drawn from snr_set only when fit is given a bank."""
 
-    mode: str = "mc"
     snr_set: tuple = TRAIN_SNRS_DB
     zero_robot_prob: float = 0.5
 
     def __post_init__(self):
-        if self.mode not in ("clean", "mc"):
-            raise ValueError(f"mode must be 'clean' or 'mc', got {self.mode!r}")
+        if not self.snr_set:
+            raise ValueError("snr_set is empty")
+        for snr in self.snr_set:
+            check_snr(snr)
         if not 0.0 <= self.zero_robot_prob <= 1.0:
             raise ValueError("zero_robot_prob must be in [0, 1]")
 
@@ -149,7 +151,7 @@ def _epoch_windows(prepared, augment: AugmentConfig, bank, cfg: ModelConfig,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(epoch, item_idx))
         )
-        if augment.mode == "mc":
+        if bank is not None:
             cond = sample_condition(rng, bank, augment.snr_set)
             if not cond.is_clean:
                 mixed, _ = apply_condition(user, cond, bank, rng)
@@ -208,8 +210,6 @@ def fit(
     valid_items = list(valid_items)
     if not train_items or not valid_items:
         raise EmptyDatasetError("train and valid sets must be non-empty")
-    if augment.mode == "mc" and bank is None:
-        raise ValueError("multi-condition training requires a noise bank")
     params = init_params(cfg, seed=seed)
     history = []
 
@@ -291,6 +291,8 @@ def eval_per_snr(
     models, test_items = list(models), list(test_items)
     if not test_items:
         raise EmptyDatasetError("empty test set")
+    for snr in snr_list:
+        check_snr(snr)
     if len(set(snr_list)) < len(snr_list):
         raise ValueError(f"snr_list {snr_list} repeats a value; each row is keyed by its SNR")
     prepared = _prepare_items(test_items)

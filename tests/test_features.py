@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from vapturn.audio import Waveform
+from vapturn.codebook import LABELS_PER_FEATURE_FRAME
+from vapturn.endpointing import FRAME_MS
 from vapturn.features import (
     HOP_SAMPLES,
     LOG_FLOOR,
@@ -15,6 +17,7 @@ from vapturn.features import (
     mel_filterbank,
     silent_features,
 )
+from vapturn.streaming import TICK_PERIOD_S
 
 
 def oracle_band_for_tone(freq_hz: float) -> int:
@@ -96,8 +99,16 @@ def test_window_covers_400ms():
     assert WINDOW_SAMPLES == 4 * HOP_SAMPLES == 6400
 
 
+def test_time_grid_derived_from_hop():
+    # tick period, endpointer frame and labels per feature frame all follow
+    # HOP_SAMPLES; these are their values at the 100 ms hop
+    assert TICK_PERIOD_S == 0.1
+    assert FRAME_MS == 100.0
+    assert LABELS_PER_FEATURE_FRAME == 10
+
+
 def test_filterbank_geometry():
-    bank = mel_filterbank(N_MELS)
+    bank = mel_filterbank()
     assert bank.shape == (N_MELS, WINDOW_SAMPLES // 2 + 1)
     # every filter has positive area and peaks at its own center
     assert np.all(bank.sum(axis=1) > 0)

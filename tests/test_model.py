@@ -66,8 +66,15 @@ class TestConfig:
         assert cfg.context_frames * 0.1 == 5.0
         assert cfg.context_samples == 80000
 
+    def test_stored_seed_dropped(self):
+        stored = ModelConfig(model_dim=16).to_json_dict()
+        assert "seed" not in stored
+        assert ModelConfig.from_json_dict({**stored, "seed": 9}) == ModelConfig(**stored)
+        with pytest.raises(TypeError):
+            ModelConfig(seed=9)
+
     def test_json_roundtrip(self):
-        cfg = ModelConfig(model_dim=16, heads=4, seed=9)
+        cfg = ModelConfig(model_dim=16, heads=4)
         assert ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 

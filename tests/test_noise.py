@@ -63,6 +63,12 @@ class TestMixAtSnr:
         assert clipped == 0
         assert measured_snr_db(mixed, sig) == pytest.approx(5.0, abs=0.1)
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_undefined_snr_rejected(self, snr):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="SNR"):
+            mix_at_snr(_rand_wave(rng), _rand_wave(rng), snr)
+
     def test_silent_signal_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(SilentAudioError):
@@ -142,6 +148,12 @@ class TestSampleCondition:
         bank = synthetic_noise_bank(0)
         with pytest.raises(ValueError):
             sample_condition(np.random.default_rng(0), bank, ())
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_condition_rejects_undefined_snr(self, snr):
+        # -inf is not clean: it has no finite noise gain
+        with pytest.raises(ValueError, match="SNR"):
+            Condition("white", snr)
 
     def test_apply_condition_clean_passthrough(self):
         bank = synthetic_noise_bank(0)

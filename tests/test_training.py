@@ -121,7 +121,6 @@ class TestFit:
             cfg,
             epochs=3,
             lr=0.3,
-            augment=AugmentConfig(mode="mc"),
             bank=bank,
             seed=1,
         )
@@ -133,7 +132,7 @@ class TestFit:
     def test_deterministic_history(self, corpus):
         cfg = ModelConfig()
         bank = synthetic_noise_bank(0)
-        kwargs = dict(epochs=2, lr=0.3, augment=AugmentConfig(mode="mc"), bank=bank, seed=4)
+        kwargs = dict(epochs=2, lr=0.3, bank=bank, seed=4)
         p1, h1 = fit(corpus[:6], corpus[6:], cfg, **kwargs)
         p2, h2 = fit(corpus[:6], corpus[6:], cfg, **kwargs)
         assert h1 == h2
@@ -147,14 +146,9 @@ class TestFit:
             cfg,
             epochs=1,
             lr=0.3,
-            augment=AugmentConfig(mode="clean"),
             seed=2,
         )
         assert history[1]["train_vap"] < history[0]["train_vap"] + 0.5
-
-    def test_mc_mode_requires_bank(self, corpus):
-        with pytest.raises(ValueError):
-            fit(corpus[:6], corpus[6:], ModelConfig(), epochs=1, augment=AugmentConfig(mode="mc"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, corpus):
@@ -167,7 +161,6 @@ class TestFit:
                 epochs=3,
                 lr=1e9,
                 clip_norm=0.0,
-                augment=AugmentConfig(mode="clean"),
                 seed=3,
             )
 
@@ -178,11 +171,16 @@ class TestFit:
     def test_rejects_schedule_it_cannot_follow(self, corpus, key, value):
         kwargs = {"epochs": 1, key: value}
         with pytest.raises(ValueError, match=key):
-            fit(corpus[:6], corpus[6:], ModelConfig(), augment=AugmentConfig(mode="clean"), **kwargs)
+            fit(corpus[:6], corpus[6:], ModelConfig(), **kwargs)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            fit([], [], ModelConfig(), augment=AugmentConfig(mode="clean"))
+            fit([], [], ModelConfig())
+
+    @pytest.mark.parametrize("snr_set", [(), (-math.inf,), (5.0, math.nan)])
+    def test_augment_rejects_undefined_snr_set(self, snr_set):
+        with pytest.raises(ValueError, match="snr_set|SNR"):
+            AugmentConfig(snr_set=snr_set)
 
 
 class TestEvalPerSnr:
@@ -217,6 +215,12 @@ class TestEvalPerSnr:
             eval_per_snr(
                 [({}, ModelConfig())], corpus[:1], synthetic_noise_bank(0), snr_list=(5.0, 5.0, math.inf)
             )
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_undefined_snr_rejected_before_work(self, corpus, monkeypatch, snr):
+        monkeypatch.setattr(training, "_prepare_items", lambda items: pytest.fail("did work"))
+        with pytest.raises(ValueError, match="SNR"):
+            eval_per_snr([({}, ModelConfig())], corpus[:1], synthetic_noise_bank(0), snr_list=(math.inf, snr))
 
     def test_equals_per_row_extraction(self, corpus, monkeypatch):
         # reference: every row builds each item's whole-dialogue batch again
@@ -355,6 +359,17 @@ class TestCheckpointIO:
         else:
             with pytest.raises(CheckpointError, match="feature_bands 20"):
                 load_checkpoint(path)
+
+    def test_stored_seed_ignored(self, tmp_path):
+        # every checkpoint written while seed was a config field holds it
+        cfg = ModelConfig(model_dim=16)
+        meta = json.dumps({"version": 1, "config": {**cfg.to_json_dict(), "seed": 9}})
+        path = tmp_path / "ckpt.npz"
+        params = init_params(cfg, seed=9)
+        np.savez(path, __meta__=np.array(meta), **params)
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert all(np.array_equal(loaded[k], params[k]) for k in params)
 
     def test_history_csv_roundtrip(self, tmp_path):
         history = [

@@ -57,11 +57,13 @@ class Condition:
 
 @dataclass(frozen=True)
 class NoiseBank:
-    """Named noise clips used for augmentation; every clip must be >= 1 s."""
+    """Named noise clips used for augmentation: at least one, each >= 1 s."""
 
     entries: tuple
 
     def __post_init__(self):
+        if not self.entries:
+            raise AudioError("noise bank has no clips")
         for name, clip in self.entries:
             if clip.duration_s < MIN_NOISE_CLIP_S:
                 raise AudioError(f"noise clip {name!r} shorter than {MIN_NOISE_CLIP_S} s")
@@ -134,8 +136,6 @@ def sample_condition(
     snr_set=TRAIN_SNRS_DB,
 ) -> Condition:
     """Draw noise type and SNR level independently and uniformly."""
-    if len(bank) == 0:
-        raise ValueError("noise bank is empty")
     snrs = tuple(snr_set)
     if not snrs:
         raise ValueError("SNR set is empty")

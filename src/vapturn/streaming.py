@@ -4,20 +4,19 @@ Each tick runs the forward pass over the features of the zero-padded trailing
 5 s window, so streaming output equals an offline pass over that window and
 does not depend on how the audio was chunked. Row j of the window ending at
 hop k is the 400 ms frame ending at hop k - context_frames + 1 + j, keeping
-the min(j + 1, 4) hops of it inside the window and zeros before them. So each
-hop has 4 rows, and a window is one fixed gather over its hops' rows. The
-tick computes all 4 rows of each new hop once and keeps them in a ring.
-replay computes, for the ticks asked of it, the full-frame row of every hop
-in one frontend pass over the recording, and each shorter row only where a
-requested window's first rows read it. Both then take one prediction step,
-_predict. Only the newest row's prediction is used, so the last cross layer
-and the heads run on that row alone.
+the min(j + 1, 4) hops of it inside the window and zeros before them: kind
+min(j, 3) of that hop. One function, _kind_rows, builds such rows. The tick
+builds all 4 kinds of each new hop from its frame, read in place from the
+queued audio, and keeps them in a ring; a window is one fixed gather over the
+ring. replay builds only the (hop, kind) pairs its requested windows read, a
+block at a time. Both then take one prediction step, _predict. Only the
+newest row's prediction is used, so the last cross layer and the heads run
+on that row alone.
 
 Silence is read from the data. A frame with no nonzero sample has the silent
-rows, so the tick writes them without the frontend, and replay's rows of an
-all-zero channel are silent throughout. The deployed engine hears the user
-with the robot channel zeroed. When every robot feature a prediction step
-reads is silent, whatever the audio under it, the step reuses one stored
+rows, which _kind_rows writes without the frontend. The deployed engine hears
+the user with the robot channel zeroed. When every robot feature a prediction
+step reads is silent, whatever the audio under it, the step reuses one stored
 encoding of the silent window. This is exact: the tick is bit-identical to
 computing the robot side in full, and replay stays within float rounding of
 run_stream.
@@ -39,23 +38,26 @@ from .features import (
     N_MELS,
     WINDOW_SAMPLES,
     _frame_features,
-    extract_features,
     hop_frames,
     silent_features,
 )
 
-# forward is not called here; it stays importable as vapturn.streaming.forward,
-# a name perfbench's traced run wraps
+# forward and extract_features are not called here; they stay importable as
+# vapturn.streaming.forward and .extract_features, names perfbench's traced run wraps
+from .features import extract_features  # noqa: F401
 from .model import ModelConfig, encode_channel, forward, forward_last  # noqa: F401
 
 TICK_PERIOD_S = HOP_SAMPLES / SAMPLE_RATE
-# a hop's rows: its 400 ms frame keeping the samples _KEEP[kind] marks, its last kind + 1 hops
+# kind m of a hop's 400 ms frame keeps the samples _KEEP[m] marks, its last m + 1 hops
 _KINDS = WINDOW_SAMPLES // HOP_SAMPLES
-_KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - np.arange(_KINDS))[:, None] * HOP_SAMPLES
-# windows per replay forward call, and short rows per frontend call. On a
+_ALL_KINDS = np.arange(_KINDS)
+_KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - _ALL_KINDS)[:, None] * HOP_SAMPLES
+# samples the pending queue keeps before its oldest hop, so that a hop's frame is a view
+_HISTORY = WINDOW_SAMPLES - HOP_SAMPLES
+# windows per replay forward call, and rows per replay frontend call. On a
 # 54 s recording (2-vCPU VM, 1 BLAS thread) 16 and 32 ran equally fast, 64 and
-# 128 5-10 % slower. replay's traced peak, 70 MB at every one of these sizes,
-# is the one frontend pass over the recording, which grows with its length
+# 128 5-10 % slower. At 32, replay's traced peak on a 54 s dialogue is 23 MB:
+# one block's prediction step or frontend work, plus a padded copy of the recording
 REPLAY_BLOCK = 32
 
 
@@ -130,11 +132,18 @@ def _frame_result(clock, p_user, p_robot, vad_row, entropy, compute_ms) -> Frame
     )
 
 
-def _frame_rows(frames: np.ndarray) -> np.ndarray:
-    """(n, _KINDS, N_MELS) rows of (n, WINDOW_SAMPLES) frames: kind m is the
-    log-mel of the frame with all but its last m + 1 hops zeroed."""
-    kept = np.where(_KEEP, frames[:, None], 0.0).reshape(-1, WINDOW_SAMPLES)
-    return _frame_features(kept).reshape(len(frames), _KINDS, N_MELS)
+def _kind_rows(frames: np.ndarray, kinds: np.ndarray) -> np.ndarray:
+    """(n, N_MELS) rows of n = len(kinds) frames, given as (n, WINDOW_SAMPLES)
+    or as one (1, WINDOW_SAMPLES) frame for all of them: row i is the log-mel
+    of frame i with all but its last kinds[i] + 1 hops zeroed, or the silent
+    row, without the frontend, when frame i holds no nonzero sample."""
+    sound = frames.any(axis=1)
+    if sound.all():
+        return _frame_features(np.where(_KEEP[kinds], frames, 0.0))
+    rows = silent_features(len(kinds)).copy()
+    if sound.any():
+        rows[sound] = _frame_features(np.where(_KEEP[kinds[sound]], frames[sound], 0.0))
+    return rows
 
 
 def _windows(rows: np.ndarray, oldest, ctx: int) -> np.ndarray:
@@ -175,12 +184,21 @@ class StreamContext:
     """
 
     def __init__(self, params: dict | None, cfg: ModelConfig):
-        self.params = params
         self.cfg = cfg
-        # robot encoding of the silent window, and the params it was made with
-        self._silent_enc = None
-        self._silent_enc_params = None
+        self.params = params
         self.reset()
+
+    @property
+    def params(self) -> dict | None:
+        return self._params
+
+    @params.setter
+    def params(self, params: dict | None) -> None:
+        """Attach params; the robot encoding of the silent window is made for
+        them on first use (not again when their arrays change in place)."""
+        cfg = self.cfg
+        self._params = params
+        self._silent_encoding = functools.cache(lambda: _silent_robot_encoding(params, cfg))
 
     @property
     def samples_pending(self) -> int:
@@ -205,44 +223,20 @@ class StreamContext:
         self._end += n
 
     def _make_room(self, n: int) -> None:
-        """Move the queued audio to the front, doubling the buffer until n more
-        samples fit behind it."""
-        queued = self.samples_pending
+        """Move the queued audio and the _HISTORY samples before it to the
+        front, doubling the buffer until n more samples fit behind them."""
+        kept = _HISTORY + self.samples_pending
         size = self._pending.shape[1]
-        while queued + n > size:
+        while kept + n > size:
             size *= 2
         target = self._pending if size == self._pending.shape[1] else np.empty((2, size))
-        target[:, :queued] = self._pending[:, self._start : self._end]
+        target[:, :kept] = self._pending[:, self._start - _HISTORY : self._end]
         self._pending = target
-        self._start, self._end = 0, queued
-
-    def _take_hop(self) -> np.ndarray:
-        """The oldest hop of queued audio, (2, HOP_SAMPLES), as a view that
-        stays valid until the next push."""
-        hop = self._pending[:, self._start : self._start + HOP_SAMPLES]
-        self._start += HOP_SAMPLES
-        return hop
+        self._start, self._end = _HISTORY, kept
 
     @property
     def tick_due(self) -> bool:
         return self.samples_pending >= HOP_SAMPLES
-
-    def _roll_in(self, c: int, hop: np.ndarray) -> None:
-        """Shift hop into channel c's 400 ms tail and store the rows of the
-        tail's frame, silent when the tail is zeros, in the newest hop's ring slot."""
-        tail = self._tail[c]
-        tail[:-HOP_SAMPLES] = tail[HOP_SAMPLES:]
-        tail[-HOP_SAMPLES:] = hop
-        rows = _frame_rows(tail[None])[0] if tail.any() else silent_features(_KINDS)
-        self._rows[c, self.clock % self.cfg.context_frames] = rows
-
-    def _cached_silent_encoding(self) -> np.ndarray:
-        """_silent_robot_encoding, made again when self.params is rebound to
-        another object (not when its arrays change in place)."""
-        if self._silent_enc_params is not self.params:
-            self._silent_enc = _silent_robot_encoding(self.params, self.cfg)
-            self._silent_enc_params = self.params
-        return self._silent_enc
 
     def tick(self) -> FrameResult | None:
         """Consume 100 ms of queued audio and emit one prediction, or None if
@@ -252,13 +246,16 @@ class StreamContext:
         if not self.tick_due:
             return None
         t0 = time.perf_counter()
-        hop = self._take_hop()
+        self._start += HOP_SAMPLES
         self.clock += 1
+        # the 400 ms frame of each channel ending at the hop just taken
+        frames = self._pending[:, self._start - WINDOW_SAMPLES : self._start]
         for c in (0, 1):
-            self._roll_in(c, hop[c])
+            rows = _kind_rows(frames[c, None], _ALL_KINDS)
+            self._rows[c, self.clock % self.cfg.context_frames] = rows
         # the ring slot of hop h is h % ctx, so the window's oldest hop is in slot clock + 1
         oldest = [self.clock + 1]
-        [pred] = _predict(self.params, self.cfg, self._rows, oldest, self._cached_silent_encoding)
+        [pred] = _predict(self.params, self.cfg, self._rows, oldest, self._silent_encoding)
         compute_ms = (time.perf_counter() - t0) * 1000.0
         return _frame_result(self.clock, *pred, compute_ms)
 
@@ -271,13 +268,13 @@ class StreamContext:
     def reset(self) -> None:
         """Back to a fresh context: silent window, empty queue, clock at 0."""
         ctx = self.cfg.context_frames
-        # the last 400 ms of each channel, and the rows of its last ctx hops
-        self._tail = np.zeros((2, WINDOW_SAMPLES))
+        # the rows of each channel's last ctx hops
         self._rows = np.broadcast_to(silent_features(1), (2, ctx, _KINDS, N_MELS)).copy()
-        # queued audio of both channels is _pending[:, _start:_end]
-        self._pending = np.empty((2, 2 * HOP_SAMPLES))
-        self._start = 0
-        self._end = 0
+        # queued audio of both channels is _pending[:, _start:_end], after
+        # _HISTORY samples of the audio before it, zeros at the start
+        self._pending = np.zeros((2, _HISTORY + 2 * HOP_SAMPLES))
+        self._start = _HISTORY
+        self._end = _HISTORY
         self.clock = 0
 
 
@@ -323,28 +320,26 @@ def _checked_ticks(ticks, n_ticks: int) -> np.ndarray:
 def _replay_rows(x: np.ndarray, ticks: np.ndarray, ctx: int) -> np.ndarray:
     """The rows the windows of ticks read from channel x: an array of shape
     (ctx - 1 + n_ticks, _KINDS, N_MELS) holding hop i + 2 - ctx at index i,
-    so the window of tick k starts at index k - 1. The full-frame kind of
-    every hop is one extract_features pass over the recording. A shorter
-    kind m is read only as row m of a window, so it is computed only for hop
-    k - ctx + 1 + m of each tick k. Hops <= 0, and rows no window of ticks
-    reads, are silent; all of them, as a read-only broadcast, for zeros x."""
+    so the window of tick k starts at index k - 1. Only the (hop, kind) pairs
+    those windows read, with hop >= 1, are computed, REPLAY_BLOCK to a
+    _kind_rows call; the rest are silent, all of them, as a read-only
+    broadcast, for zeros x."""
     n_ticks = x.size // HOP_SAMPLES
     lead = ctx - 1
     audio = x[: n_ticks * HOP_SAMPLES]
-    silent = np.broadcast_to(silent_features(1), (lead + n_ticks, _KINDS, N_MELS))
+    rows = np.broadcast_to(silent_features(1), (lead + n_ticks, _KINDS, N_MELS))
     if not audio.any():
-        return silent
-    rows = silent.copy()
-    rows[lead:, -1] = extract_features(audio)
-    kinds = np.arange(min(ctx, _KINDS - 1))
-    hops = (ticks[:, None] - ctx + 1 + kinds).ravel()
-    kinds = np.broadcast_to(kinds, (len(ticks), len(kinds))).ravel()
-    hops, kinds = hops[hops >= 1], kinds[hops >= 1]
-    # frame f ends at hop f + 1; REPLAY_BLOCK rows per call bound the FFT buffers
+        return rows
+    rows = rows.copy()
+    read = np.zeros((lead + n_ticks, _KINDS), dtype=bool)
+    j = np.arange(ctx)
+    read[ticks[:, None] - 1 + j, np.minimum(j, _KINDS - 1)] = True
+    index, kinds = np.nonzero(read[lead:])
+    # index i holds hop i + 1, whose frame is hop_frames row i
     frames = hop_frames(audio)
-    for i in range(0, len(hops), REPLAY_BLOCK):
-        h, m = hops[i : i + REPLAY_BLOCK], kinds[i : i + REPLAY_BLOCK]
-        rows[lead + h - 1, m] = _frame_features(np.where(_KEEP[m], frames[h - 1], 0.0))
+    for i in range(0, len(index), REPLAY_BLOCK):
+        h, m = index[i : i + REPLAY_BLOCK], kinds[i : i + REPLAY_BLOCK]
+        rows[lead + h, m] = _kind_rows(frames[h], m)
     return rows
 
 
@@ -356,8 +351,8 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> lis
     tick outside 1..len(wav_a) // HOP_SAMPLES or ticks not strictly
     increasing. Results match run_stream within float rounding (tested to
     1e-9), whatever ticks selects. Each block of REPLAY_BLOCK requested
-    windows takes the tick's prediction step (_predict) over rows built as
-    the tick builds them (see _replay_rows). A block whose robot windows are
+    windows takes the tick's prediction step (_predict) over rows built by
+    the tick's _kind_rows (see _replay_rows). A block whose robot windows are
     all silent, as every block is when wav_b is None, shares one encoding of
     the silent window, made at most once per call. compute_ms of every result
     in a block is the block's wall time divided by the windows in it; the row

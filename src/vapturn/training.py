@@ -275,7 +275,7 @@ def fit(
 def eval_per_snr(
     models,
     test_items,
-    bank: NoiseBank,
+    bank: NoiseBank | None,
     snr_list=(math.inf, 20.0, 15.0, 10.0, 5.0),
     seed: int = 0,
 ):
@@ -285,14 +285,16 @@ def eval_per_snr(
     Noise draws are deterministic per (seed, SNR row, item) and shared by all
     models. The robot and clean user features and the targets are computed
     once per item; each noisy row extracts only its mixed user channel, once
-    for all models. Returns one loss table {snr: L_vap} per model and the
-    condition provenance rows.
+    for all models. bank may be None only when every row is clean. Returns
+    one loss table {snr: L_vap} per model and the condition provenance rows.
     """
     models, test_items = list(models), list(test_items)
     if not test_items:
         raise EmptyDatasetError("empty test set")
     for snr in snr_list:
         check_snr(snr)
+        if bank is None and not math.isinf(snr):
+            raise ValueError(f"SNR row {snr} needs a noise bank, got None")
     if len(set(snr_list)) < len(snr_list):
         raise ValueError(f"snr_list {snr_list} repeats a value; each row is keyed by its SNR")
     prepared = _prepare_items(test_items)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vapturn.audio import Waveform, mean_power, save_wav
+from vapturn.audio import AudioError, Waveform, mean_power, save_wav
 from vapturn.noise import (
     CLEAN,
     Condition,
@@ -208,6 +208,10 @@ class TestNoiseBank:
         bank = NoiseBank.from_dir(tmp_path)
         assert bank.names == ["amb", "hum"]
         assert bank.get("hum").duration_s > 1.0
+
+    def test_empty_bank_rejected_at_construction(self):
+        with pytest.raises(AudioError, match="no clips"):
+            NoiseBank(())
 
     def test_short_clip_rejected(self):
         with pytest.raises(Exception):

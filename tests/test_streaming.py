@@ -1,12 +1,16 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vapturn import streaming
+from vapturn import features, streaming
 from vapturn.codebook import p_now_pair
 from vapturn.features import HOP_SAMPLES, extract_features, hop_frames
 from vapturn.model import FrameBatch, ModelConfig, forward, init_params
+from vapturn.simulate import DialogueScript, generate_scripted_dialogue
 from vapturn.streaming import (
     FrameResult,
     MismatchedChunkError,
@@ -408,12 +412,11 @@ class TestUserZeroGaps:
 
     def test_frontend_runs_only_on_frames_with_sound(self, params, cfg, monkeypatch):
         audio = _gappy_user(6.0, seed=31)
-        frames = []
-        frame_rows = streaming._frame_rows
-        monkeypatch.setattr(
-            streaming, "_frame_rows", lambda f: frames.append(f.copy()) or frame_rows(f)
-        )
+        calls = _record_frontend(monkeypatch)
         run_stream(params, cfg, audio)
+        # one call per frame with sound: its 4 kinds, the last the whole frame
+        assert all(len(f) == 4 for f in calls)
+        frames = [f[-1:] for f in calls]
         sounding = [k for k in range(1, 61) if audio[max(0, k - 4) * 1600 : k * 1600].any()]
         assert 30 < len(sounding) < 60
         # the robot is silent throughout, so every call is the user's frame
@@ -575,6 +578,65 @@ class TestReplayTicks:
         audio = _audio(4.0, seed=28)  # 40 ticks
         with pytest.raises(ValueError, match="ticks"):
             replay(params, cfg, audio, ticks=ticks)
+
+
+def _record_frontend(monkeypatch) -> list:
+    """Record the frames of each frontend call, in streaming or through
+    extract_features."""
+    calls = []
+    frame_features = features._frame_features
+
+    def record(frames):
+        calls.append(np.array(frames))
+        return frame_features(frames)
+
+    monkeypatch.setattr(features, "_frame_features", record)
+    monkeypatch.setattr(streaming, "_frame_features", record)
+    return calls
+
+
+class TestReplayRows:
+    """replay computes only the rows its windows read, a block at a time."""
+
+    def test_frontend_gets_blocks_of_frames_with_sound(self, params, cfg, monkeypatch):
+        audio = _gappy_user(6.0, seed=35)
+        robot = _burst_robot(audio.size, [(2.5, 0.3)], seed=36)
+        calls = _record_frontend(monkeypatch)
+        replay(params, cfg, audio, robot)
+        assert calls and max(len(f) for f in calls) <= streaming.REPLAY_BLOCK
+        # the (hop, kind) pairs the windows read whose 400 ms frame holds
+        # sound, kind m keeping the frame's last m + 1 hops
+        ctx = cfg.context_frames
+        pairs = {(k - ctx + 1 + j, min(j, 3)) for k in range(1, 61) for j in range(ctx)}
+        expected = []
+        for x in (audio, robot):
+            frames = hop_frames(x)
+            for hop, kind in pairs:
+                if hop >= 1 and frames[hop - 1].any():
+                    row = frames[hop - 1].copy()
+                    row[: (3 - kind) * HOP_SAMPLES] = 0.0
+                    expected.append(row.tobytes())
+        assert Counter(f.tobytes() for f in np.concatenate(calls)) == Counter(expected)
+
+    @pytest.mark.parametrize("tick", [1, 30, 80])
+    def test_one_tick_computes_at_most_context_rows_per_channel(self, params, cfg, tick, monkeypatch):
+        audio, robot = _audio(8.0, seed=37), _audio(8.0, seed=38)
+        calls = _record_frontend(monkeypatch)
+        [result] = replay(params, cfg, audio, robot, ticks=[tick])
+        assert result.frame_index == tick
+        # every frame sounds, so each channel computes the window's rows of hops >= 1
+        assert sum(len(f) for f in calls) == 2 * min(tick, cfg.context_frames)
+
+    def test_memory_peak_is_bounded_on_a_dialogue(self, params, cfg):
+        audio = generate_scripted_dialogue(DialogueScript(n_turns=6, seed=0)).stereo.channel_a
+        assert audio.duration_s > 45.0
+        tracemalloc.start()
+        try:
+            replay(params, cfg, audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 def _record_model_inputs(monkeypatch) -> tuple[list, list]:

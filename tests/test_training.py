@@ -222,6 +222,11 @@ class TestEvalPerSnr:
         with pytest.raises(ValueError, match="SNR"):
             eval_per_snr([({}, ModelConfig())], corpus[:1], synthetic_noise_bank(0), snr_list=(math.inf, snr))
 
+    def test_noisy_row_without_bank_rejected_before_work(self, corpus, monkeypatch):
+        monkeypatch.setattr(training, "_prepare_items", lambda items: pytest.fail("did work"))
+        with pytest.raises(ValueError, match="noise bank"):
+            eval_per_snr([({}, ModelConfig())], corpus[:1], None, snr_list=(math.inf, 5.0))
+
     def test_equals_per_row_extraction(self, corpus, monkeypatch):
         # reference: every row builds each item's whole-dialogue batch again
         # from its mixed dialogue; the result must be exactly the same, from

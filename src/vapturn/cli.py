@@ -1,4 +1,4 @@
-"""Operator command line: synth-data, train, eval, simulate, stream, bench.
+"""Operator command line: synth-data, train, eval, simulate, stream.
 
 Every command is deterministic for a fixed config and seed; commands that
 write to an output directory also write their resolved configuration there as
@@ -18,9 +18,7 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -29,8 +27,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, load_wav
 from .endpointing import SttSimConfig, VapEndpointerConfig
-from .features import HOP_SAMPLES
-from .model import ModelConfig, init_params
+from .model import ModelConfig
 from .noise import DatasetSplitError, NoiseBank, synthetic_noise_bank, write_conditions_jsonl
 from .simulate import (
     POLICIES,
@@ -42,7 +39,7 @@ from .simulate import (
     summarize,
 )
 from .stats import SampleDist
-from .streaming import TICK_PERIOD_S, StreamContext, run_stream
+from .streaming import TICK_PERIOD_S, run_stream
 from .training import (
     AugmentConfig,
     CheckpointError,
@@ -318,14 +315,13 @@ def cmd_eval(resolved: dict, file_cfg: dict) -> int:
     if len(set(names)) < len(names):
         raise CliConfigError(f"checkpoints {paths} give clashing eval.csv columns {names}")
     snr_list = _parse_snr_tokens(resolved["snrs"])
+    models = [load_checkpoint(path) for path in paths]
     data = load_dataset(resolved["data"])
     items = data[resolved["split"]]
     bank = _noise_bank(resolved)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
-    tables, provenance = eval_per_snr(
-        [load_checkpoint(path) for path in paths], items, bank, snr_list=snr_list, seed=resolved["seed"]
-    )
+    tables, provenance = eval_per_snr(models, items, bank, snr_list=snr_list, seed=resolved["seed"])
     with open(out / "eval.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr_db"] + names)
@@ -467,7 +463,6 @@ STREAM_OPTIONS = {
     "robot_wav": Opt(),
     "out": Opt("-"),
     "chunk_ms": Opt(100.0, float),
-    "realtime": Opt(False, bool),
 }
 
 
@@ -483,93 +478,25 @@ def cmd_stream(resolved: dict, file_cfg: dict) -> int:
     wav_b = load_wav(resolved["robot_wav"]) if resolved["robot_wav"] else None
     if wav_b is not None and len(wav_b) != len(wav_a):
         raise CliConfigError(f"--robot-wav has {len(wav_b)} samples, --wav has {len(wav_a)}")
-    ctx = StreamContext(params, cfg)
+    results = run_stream(params, cfg, wav_a, wav_b, chunk_samples=chunk)
     sink = sys.stdout if resolved["out"] == "-" else open(resolved["out"], "w")
-    compute = []
     try:
-        a = wav_a.samples
-        b = wav_b.samples if wav_b is not None else None
-        for start in range(0, a.size, chunk):
-            stop = start + chunk
-            ctx.push_audio(a[start:stop], None if b is None else b[start:stop])
-            for result in ctx.tick_all():
-                sink.write(result.to_json_line() + "\n")
-                compute.append(result.compute_ms)
-                if resolved["realtime"]:
-                    time.sleep(max(0.0, TICK_PERIOD_S - result.compute_ms / 1000.0))
+        sink.writelines(result.to_json_line() + "\n" for result in results)
     finally:
         if sink is not sys.stdout:
             sink.close()
-    mean_ms = float(np.mean(compute)) if compute else 0.0
+    mean_ms = float(np.mean([result.compute_ms for result in results])) if results else 0.0
     rtf = mean_ms / (1000 * TICK_PERIOD_S)
     print(
-        f"streamed {len(compute)} frames, mean compute {mean_ms:.2f} ms/tick, "
+        f"streamed {len(results)} frames, mean compute {mean_ms:.2f} ms/tick, "
         f"real-time factor {rtf:.3f}",
         file=sys.stderr,
     )
     if resolved["out"] != "-":
         _dump_json(
-            {**resolved, "frames": len(compute), "mean_compute_ms": mean_ms, "rtf": rtf},
+            {**resolved, "frames": len(results), "mean_compute_ms": mean_ms, "rtf": rtf},
             str(resolved["out"]) + ".config.json",
         )
-    return EXIT_OK
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _machine_info() -> dict:
-    """What a timing depends on besides the code: usable cores, the BLAS numpy
-    was built with, and the BLAS thread variables that are set."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.25 prints its config instead
-        blas = {}
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return {
-        "nproc": nproc,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "blas_threads": {k: os.environ[k] for k in BLAS_THREAD_VARS if k in os.environ},
-    }
-
-
-BENCH_OPTIONS = {
-    "checkpoint": Opt(),
-    "seconds": Opt(20.0, float),
-    "seed": Opt(0, int),
-    "budget_ms": Opt(None, float),
-}
-
-
-def cmd_bench(resolved: dict, file_cfg: dict) -> int:
-    n_samples = int(SAMPLE_RATE * resolved["seconds"])
-    if n_samples < HOP_SAMPLES:
-        raise CliConfigError(
-            f"--seconds must cover one {1000 * HOP_SAMPLES // SAMPLE_RATE} ms hop, "
-            f"got {resolved['seconds']}"
-        )
-    if resolved["checkpoint"]:
-        params, cfg = load_checkpoint(resolved["checkpoint"])
-    else:
-        cfg = ModelConfig()
-        params = init_params(cfg, seed=resolved["seed"])
-    rng = np.random.default_rng(resolved["seed"])
-    audio = 0.3 * rng.standard_normal(n_samples)
-    results = run_stream(params, cfg, np.clip(audio, -1, 1))
-    ms = np.array([r.compute_ms for r in results])
-    report = {
-        "ticks": len(results),
-        "mean_ms": float(ms.mean()),
-        "p95_ms": float(np.percentile(ms, 95)),
-        "max_ms": float(ms.max()),
-        "rtf_mean": float(ms.mean() / (1000 * TICK_PERIOD_S)),
-        **_machine_info(),
-    }
-    print(json.dumps(report, sort_keys=True))
-    budget = resolved["budget_ms"]
-    if budget is not None and report["mean_ms"] > budget:
-        print(f"mean tick {report['mean_ms']:.2f} ms exceeds budget {budget} ms", file=sys.stderr)
-        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -582,7 +509,6 @@ COMMANDS = {
     "eval": (cmd_eval, EVAL_OPTIONS, "projection-task loss per SNR level, one column per checkpoint"),
     "simulate": (cmd_simulate, SIM_OPTIONS, "simulated sessions measuring response-time per policy"),
     "stream": (cmd_stream, STREAM_OPTIONS, "replay a WAV through the engine, one JSON line per tick"),
-    "bench": (cmd_bench, BENCH_OPTIONS, "measure per-tick compute on synthetic audio"),
 }
 
 

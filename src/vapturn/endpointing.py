@@ -4,6 +4,7 @@ that races them (earlier decision wins, local detector wins ties)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ class SttSimConfig:
     latency: SampleDist = field(default_factory=SampleDist)
 
     def __post_init__(self):
-        if not self.silence_threshold_ms > 0:
-            raise ValueError("silence_threshold_ms must be > 0")
+        if not 0 < self.silence_threshold_ms < math.inf:
+            raise ValueError("silence_threshold_ms must be finite and > 0")
 
 
 def vap_decide(frames, cfg: VapEndpointerConfig = VapEndpointerConfig()) -> float | None:

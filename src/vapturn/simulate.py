@@ -96,13 +96,13 @@ class DialogueScript:
             raise ValueError("n_turns must be >= 0")
         for name in ("user_utterance_s", "robot_utterance_s", "lead_in_s"):
             lo, hi = getattr(self, name)
-            if not (lo > 0 and hi >= lo):
-                raise ValueError(f"{name} must be a positive (min, max) range")
+            if not (lo > 0 and math.inf > hi >= lo):
+                raise ValueError(f"{name} must be a positive, finite (min, max) range")
         for name in ("pause_prob", "continuation_prob", "final_cue_prob", "hold_cue_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if not self.tail_s >= 0:
-            raise ValueError("tail_s must be >= 0")
+        if not 0 <= self.tail_s < math.inf:
+            raise ValueError("tail_s must be finite and >= 0")
 
     def to_json_dict(self) -> dict:
         return {

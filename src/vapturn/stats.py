@@ -83,8 +83,8 @@ class SampleDist:
     def __post_init__(self):
         if self.family not in ("lognormal", "normal", "constant", "uniform"):
             raise ValueError(f"unknown distribution family {self.family!r}")
-        if not (self.mean_s >= 0 and self.std_s >= 0):
-            raise ValueError("mean_s and std_s must be >= 0")
+        if not (0 <= self.mean_s < math.inf and 0 <= self.std_s < math.inf):
+            raise ValueError("mean_s and std_s must be finite and >= 0")
         if self.family == "lognormal" and not self.mean_s > 0:
             raise ValueError("lognormal requires mean_s > 0")
 

@@ -2,14 +2,17 @@ import argparse
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vapturn import cli
 from vapturn.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from vapturn.audio import Waveform, load_wav, save_wav
 from vapturn.model import ModelConfig, init_params
-from vapturn.training import save_checkpoint
+from vapturn.streaming import run_stream
+from vapturn.training import load_checkpoint, save_checkpoint
 
 
 def read_history(path) -> list:
@@ -198,6 +201,17 @@ class TestEval:
         ]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["absent", "text"])
+    def test_unreadable_checkpoint_exits_2_before_output(self, workspace, tmp_path, kind):
+        ckpt = tmp_path / "model.npz"
+        if kind == "text":
+            ckpt.write_text("not a checkpoint\n")
+        out = tmp_path / "e4"
+        assert main([
+            "eval", "--data", str(workspace["data"]), "--out", str(out), "--checkpoint", str(ckpt),
+        ]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_stt_only_outputs(self, tmp_path):
@@ -306,6 +320,22 @@ class TestStream:
         assert abs(row["p_now_user"] + row["p_now_robot"] - 1.0) <= 1e-6
         assert (tmp_path / "frames.jsonl.config.json").exists()
 
+    def test_robot_wav_lines_match_run_stream(self, workspace, tmp_path):
+        user = next(workspace["data"].glob("*_user.wav"))
+        robot = user.with_name(user.name.replace("_user", "_robot"))
+        ckpt = workspace["run"] / "checkpoint.npz"
+        out = tmp_path / "frames.jsonl"
+        assert main([
+            "stream", "--checkpoint", str(ckpt), "--wav", str(user), "--robot-wav", str(robot),
+            "--chunk-ms", "37", "--out", str(out),
+        ]) == EXIT_OK
+        params, cfg = load_checkpoint(ckpt)
+        expected = run_stream(params, cfg, load_wav(user), load_wav(robot), chunk_samples=592)
+        timeless = lambda line: {k: v for k, v in json.loads(line).items() if k != "compute_ms"}
+        assert [timeless(line) for line in out.read_text().splitlines()] == [
+            timeless(result.to_json_line()) for result in expected
+        ]
+
     def test_checkpoint_disagreeing_with_its_config_is_config_error(self, workspace, tmp_path):
         # model_dim=16 tensors stored under the default model_dim=32 config
         ckpt = tmp_path / "mismatch.npz"
@@ -347,20 +377,6 @@ class TestStream:
         ]) == EXIT_CONFIG
 
 
-class TestBench:
-    def test_bench_reports(self, capsys):
-        assert main(["bench", "--seconds", "2"]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert report["ticks"] == 20
-        assert report["mean_ms"] > 0
-        assert report["nproc"] >= 1
-        assert set(report["blas"]) == {"name", "version"}
-        assert isinstance(report["blas_threads"], dict)
-
-    def test_budget_enforcement(self, capsys):
-        assert main(["bench", "--seconds", "1", "--budget-ms", "0.0001"]) == EXIT_RUNTIME
-
-
 OPTION_STRINGS = {
     "synth-data": ["--config", "--out", "--n", "--seed", "--turns"],
     "train": [
@@ -378,9 +394,17 @@ OPTION_STRINGS = {
         "--theta", "--consecutive-k", "--min-user-speech-ms", "--stt-silence-ms",
         "--latency-family", "--latency-mean", "--latency-std", "--response-delay",
     ],
-    "stream": ["--config", "--checkpoint", "--wav", "--robot-wav", "--out", "--chunk-ms", "--realtime"],
-    "bench": ["--config", "--checkpoint", "--seconds", "--seed", "--budget-ms"],
+    "stream": ["--config", "--checkpoint", "--wav", "--robot-wav", "--out", "--chunk-ms"],
 }
+
+
+def test_readme_and_docstring_name_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = next(block for block in readme.split("```")[1::2] if "\nvapturn " in block)
+    documented = [line.split()[1] for line in usage.splitlines() if line.startswith("vapturn ")]
+    assert documented == list(COMMANDS)
+    listed = cli.__doc__.splitlines()[0].split(":", 1)[1].rstrip(".").split(",")
+    assert [name.strip() for name in listed] == list(COMMANDS)
 
 
 class TestOptionTable:
@@ -417,7 +441,7 @@ class TestOptionTable:
             ("simulate", {}, ["--turns", "0"]),
             ("stream", {}, ["--chunk-ms", "0"]),
             ("stream", {}, ["--chunk-ms", "-20"]),
-            ("bench", {}, ["--seconds", "0.05"]),
+            ("stream", {}, ["--chunk-ms", "0.05"]),
             # a script-block value of the wrong type
             ("simulate", {"script": {"n_turns": 1.5}}, []),
             ("synth-data", {"script": {"n_turns": 1.5}}, []),
@@ -449,7 +473,7 @@ class TestOptionTable:
             ("simulate", {}, ["--min-user-speech-ms", "nan"]),
             ("simulate", {"latency_std": math.nan}, []),
             ("train", {"lr": math.inf}, []),
-            ("bench", {}, ["--seconds", "inf"]),
+            ("stream", {"chunk_ms": math.inf}, []),
             ("stream", {}, ["--chunk-ms", "nan"]),
             ("synth-data", {"script": {"tail_s": math.nan}}, []),
             ("eval", {}, ["--snrs=-inf"]),
@@ -468,15 +492,18 @@ class TestOptionTable:
             "eval": ["--data", str(workspace["data"]), "--out", out, "--checkpoint", ckpt],
             "simulate": ["--out", out, "--policies", "stt"],
             "stream": ["--checkpoint", ckpt, "--wav", str(next(workspace["data"].glob("*_user.wav")))],
-            "bench": [],
         }[command]
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         assert main([command, *required, "--config", str(cfg_path), *flags]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
-    def test_int_for_float_is_accepted(self, tmp_path, capsys):
-        cfg_path = tmp_path / "bench.json"
-        cfg_path.write_text(json.dumps({"seconds": 1}))
-        assert main(["bench", "--config", str(cfg_path)]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out.splitlines()[-1])["ticks"] == 10
+    def test_int_for_float_is_accepted(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "stream.json"
+        cfg_path.write_text(json.dumps({"chunk_ms": 100}))
+        wav = next(workspace["data"].glob("*_user.wav"))
+        assert main([
+            "stream", "--checkpoint", str(workspace["run"] / "checkpoint.npz"),
+            "--wav", str(wav), "--config", str(cfg_path),
+        ]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == len(load_wav(wav)) // 1600

@@ -113,6 +113,18 @@ class TestVapDecide:
         with pytest.raises(ValueError):
             SttSimConfig(silence_threshold_ms=math.nan)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SttSimConfig(silence_threshold_ms=math.inf),
+            lambda: SttSimConfig(latency=SampleDist("normal", math.inf, 0.0)),
+        ],
+        ids=["silence_threshold", "latency_mean"],
+    )
+    def test_stt_config_rejects_infinity(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestSttDecide:
     def _track(self, end_active_s=1.0, total_s=3.0):

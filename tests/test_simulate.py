@@ -128,6 +128,20 @@ class TestGeneration:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tail_s": math.inf},
+            {"user_utterance_s": (1.0, math.inf)},
+            {"robot_utterance_s": (math.inf, math.inf)},
+            {"lead_in_s": (0.4, math.inf)},
+        ],
+        ids=["tail", "user_utterance_hi", "robot_utterance", "lead_in_hi"],
+    )
+    def test_script_settings_reject_infinity(self, kwargs):
+        with pytest.raises(ValueError):
+            DialogueScript(**kwargs)
+
     def test_unknown_cue_rejected(self):
         with pytest.raises(ValueError):
             render_burst(1.0, np.random.default_rng(0), -4.0, cue="shout")

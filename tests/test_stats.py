@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -107,6 +109,15 @@ class TestSampleDist:
         assert draws.min() >= 0.2 - 1e-9
         assert draws.max() <= 0.6 + 1e-9
         assert draws.mean() == pytest.approx(0.4, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "family, mean_s, std_s",
+        [("normal", math.inf, 0.0), ("normal", 1.0, math.inf), ("lognormal", math.inf, 0.1),
+         ("uniform", 0.4, math.inf), ("constant", math.inf, 0.0)],
+    )
+    def test_infinite_setting_rejected(self, family, mean_s, std_s):
+        with pytest.raises(ValueError):
+            SampleDist(family, mean_s, std_s)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

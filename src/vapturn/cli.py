@@ -271,7 +271,7 @@ def cmd_train(resolved: dict, file_cfg: dict) -> int:
     )
     schedule = {key: resolved[key] for key in ("epochs", "lr", "lr_decay", "batch_size", "window_stride")}
     _config(check_schedule, **schedule)
-    data = load_dataset(resolved["data"])
+    data = load_dataset(resolved["data"], ["train", "valid"])
     bank = _noise_bank(resolved) if resolved["mode"] == "mc" else None
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -316,8 +316,7 @@ def cmd_eval(resolved: dict, file_cfg: dict) -> int:
         raise CliConfigError(f"checkpoints {paths} give clashing eval.csv columns {names}")
     snr_list = _parse_snr_tokens(resolved["snrs"])
     models = [load_checkpoint(path) for path in paths]
-    data = load_dataset(resolved["data"])
-    items = data[resolved["split"]]
+    items = load_dataset(resolved["data"], [resolved["split"]])[resolved["split"]]
     bank = _noise_bank(resolved)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)

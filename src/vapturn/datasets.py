@@ -110,8 +110,10 @@ def load_item(data_dir, item_id: str) -> ScriptedDialogue:
     return ScriptedDialogue(stereo=stereo, turns=turns, seed=labels["seed"])
 
 
-def load_dataset(data_dir) -> dict:
-    """Load a written dataset as {split: [(item_id, StereoDialogue), ...]}."""
+def load_dataset(data_dir, splits) -> dict:
+    """Load the named splits of a written dataset as
+    {split: [(item_id, StereoDialogue), ...]}, reading no other split's files.
+    A split the manifest does not name raises DatasetError."""
     base = Path(data_dir)
     manifest_path = base / MANIFEST_NAME
     if not manifest_path.exists():
@@ -120,7 +122,9 @@ def load_dataset(data_dir) -> dict:
         manifest = json.load(fh)
     if manifest.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"unsupported manifest version {manifest.get('version')}")
-    splits = {}
-    for split, ids in manifest["splits"].items():
-        splits[split] = [(item_id, load_item(base, item_id).stereo) for item_id in ids]
-    return splits
+    if unknown := [split for split in splits if split not in manifest["splits"]]:
+        raise DatasetError(f"no split {unknown} in {manifest_path}: it has {sorted(manifest['splits'])}")
+    return {
+        split: [(item_id, load_item(base, item_id).stereo) for item_id in manifest["splits"][split]]
+        for split in splits
+    }

@@ -36,8 +36,9 @@ class VapEndpointerConfig:
             raise ValueError(f"theta must be in (0.5, 1), got {self.theta}")
         if self.consecutive_k < 1:
             raise ValueError("consecutive_k must be >= 1")
-        if not self.min_user_speech_ms >= 0:
-            raise ValueError("min_user_speech_ms must be >= 0")
+        if not 0 <= self.min_user_speech_ms < math.inf:
+            # an infinite minimum would never let the detector fire
+            raise ValueError(f"min_user_speech_ms must be finite and >= 0, got {self.min_user_speech_ms}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ HOP_SAMPLES = SAMPLE_RATE // 10
 WINDOW_SAMPLES = 4 * HOP_SAMPLES
 N_MELS = 40
 LOG_FLOOR = 1e-10
+FRONTEND_BLOCK = 32  # frames per frontend product
+MIN_GEMM_ROWS = 8  # below this OpenBLAS rounds a product differently
 
 
 def hz_to_mel(f):
@@ -96,7 +98,27 @@ def silent_features(n_frames: int) -> np.ndarray:
 
 
 def _frame_features(frames: np.ndarray) -> np.ndarray:
-    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame."""
+    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame.
+
+    Works FRONTEND_BLOCK frames at a time, so its memory does not grow with
+    n. A last block of fewer than MIN_GEMM_ROWS frames joins the one before
+    it: OpenBLAS rounds a product of fewer rows differently, and this way
+    every row has the bits of one product over all n frames.
+    """
+    n = len(frames)
+    out = np.empty((n, N_MELS))
+    start = 0
+    while start < n:
+        end = start + FRONTEND_BLOCK
+        if n - end < MIN_GEMM_ROWS:
+            end = n
+        out[start:end] = _log_mel(frames[start:end])
+        start = end
+    return out
+
+
+def _log_mel(frames: np.ndarray) -> np.ndarray:
+    """_frame_features of one block, as one product."""
     spectrum = np.fft.rfft(frames * _window_fn(), axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     mel_power = power @ mel_filterbank().T

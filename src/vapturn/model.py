@@ -305,26 +305,27 @@ def _ffn_fwd(x, p, base):
     pre = x @ p[f"{base}.W1"] + p[f"{base}.b1"]
     hid = np.maximum(pre, 0.0)
     out = hid @ p[f"{base}.W2"] + p[f"{base}.b2"]
-    return out, (x, pre, hid)
+    return out, (x, hid)
 
 
 def _ffn_bwd(dout, cache, p, base, grads):
-    x, pre, hid = cache
+    x, hid = cache
     grads[f"{base}.W2"] += _mat_grad(hid, dout)
     grads[f"{base}.b2"] += dout.sum(axis=(0, 1))
-    dhid = (dout @ p[f"{base}.W2"].T) * (pre > 0)
+    # ReLU: hid > 0 exactly where its pre-activation is
+    dhid = (dout @ p[f"{base}.W2"].T) * (hid > 0)
     grads[f"{base}.W1"] += _mat_grad(x, dhid)
     grads[f"{base}.b1"] += dhid.sum(axis=(0, 1))
     return dhid @ p[f"{base}.W1"].T
 
 
-def _self_block_fwd(x, p, base, heads):
+def _self_block_fwd(x, p, base, heads, train=False):
     a1, ln1_cache = _ln_fwd(x, p[f"{base}.ln1.g"], p[f"{base}.ln1.b"])
     att, att_cache = _attn_fwd(a1, a1, p, f"{base}.attn", heads)
     x1 = x + att
     a2, ln2_cache = _ln_fwd(x1, p[f"{base}.ln2.g"], p[f"{base}.ln2.b"])
     f, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn")
-    return x1 + f, (ln1_cache, att_cache, ln2_cache, ffn_cache)
+    return x1 + f, ((ln1_cache, att_cache, ln2_cache, ffn_cache) if train else None)
 
 
 def _self_block_bwd(dout, cache, p, base, heads, grads):
@@ -342,14 +343,14 @@ def _self_block_bwd(dout, cache, p, base, heads, grads):
     return dx + dx1
 
 
-def _cross_block_fwd(x_self, x_other, p, base, heads):
+def _cross_block_fwd(x_self, x_other, p, base, heads, train=False):
     q, lnq_cache = _ln_fwd(x_self, p[f"{base}.lnq.g"], p[f"{base}.lnq.b"])
     kv, lnkv_cache = _ln_fwd(x_other, p[f"{base}.lnkv.g"], p[f"{base}.lnkv.b"])
     att, att_cache = _attn_fwd(q, kv, p, f"{base}.attn", heads)
     y = x_self + att
     a2, ln2_cache = _ln_fwd(y, p[f"{base}.ln2.g"], p[f"{base}.ln2.b"])
     f, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn")
-    return y + f, (lnq_cache, lnkv_cache, att_cache, ln2_cache, ffn_cache)
+    return y + f, ((lnq_cache, lnkv_cache, att_cache, ln2_cache, ffn_cache) if train else None)
 
 
 def _cross_block_bwd(dout, cache, p, base, heads, grads):
@@ -381,35 +382,37 @@ def _check_context(n_frames: int, cfg: ModelConfig) -> None:
         )
 
 
-def _encode(params, feats, cfg: ModelConfig, stream: str):
+def _encode(params, feats, cfg: ModelConfig, stream: str, train: bool = False):
     """One channel's encoder: standardize, input projection, self blocks.
 
-    Returns the (B, T, model_dim) output and the cache _backward needs.
+    Returns the (B, T, model_dim) output and, with train, the cache _backward
+    needs (None otherwise).
     """
     z = standardize(feats)
     x = z @ params["in.W"] + params["in.b"]
     caches = []
     for layer in range(cfg.channel_layers):
-        x, cache = _self_block_fwd(x, params, f"ch.{stream}.{layer}", cfg.heads)
+        x, cache = _self_block_fwd(x, params, f"ch.{stream}.{layer}", cfg.heads, train)
         caches.append(cache)
-    return x, (z, caches)
+    return x, ((z, caches) if train else None)
 
 
-def _fuse(params, xa, xb, cfg: ModelConfig, last_row: bool = False):
+def _fuse(params, xa, xb, cfg: ModelConfig, last_row: bool = False, train: bool = False):
     """Fusion stage over both channels' encodings: cross layers, final LN, heads.
 
     With last_row, the last cross layer, the final LN and the heads run on the
     newest frame only, so the logits have one row per sequence; earlier cross
     layers still run on every row because they feed the other channel's keys
-    and values. That cache is not valid for _backward.
+    and values. With train (full rows only), also returns the cache _backward
+    needs; otherwise None.
     """
     cross_caches = []
     for layer in range(cfg.cross_layers):
         qa, qb = xa, xb
         if last_row and layer == cfg.cross_layers - 1:
             qa, qb = xa[:, -1:], xb[:, -1:]
-        ya, ca = _cross_block_fwd(qa, xb, params, f"x.a.{layer}", cfg.heads)
-        yb, cb = _cross_block_fwd(qb, xa, params, f"x.b.{layer}", cfg.heads)
+        ya, ca = _cross_block_fwd(qa, xb, params, f"x.a.{layer}", cfg.heads, train)
+        yb, cb = _cross_block_fwd(qb, xa, params, f"x.b.{layer}", cfg.heads, train)
         cross_caches.append((ca, cb))
         xa, xb = ya, yb
     ha, lnf_a = _ln_fwd(xa, params["final.g"], params["final.b"])
@@ -419,18 +422,20 @@ def _fuse(params, xa, xb, cfg: ModelConfig, last_row: bool = False):
     w_vad = params["vad.W"]
     b_vad = params["vad.b"]
     vad_logits = np.stack([ha @ w_vad[:, 0] + b_vad[0], hb @ w_vad[:, 1] + b_vad[1]], axis=-1)
-    return vap_logits, vad_logits, (cross_caches, lnf_a, lnf_b, ha, hb, fused)
+    cache = (cross_caches, lnf_a, lnf_b, ha, hb, fused) if train else None
+    return vap_logits, vad_logits, cache
 
 
-def _forward(params, feats_a, feats_b, cfg: ModelConfig):
-    """Batched forward pass; returns raw head logits plus the backprop cache."""
+def _forward(params, feats_a, feats_b, cfg: ModelConfig, train: bool = False):
+    """Batched forward pass; returns raw head logits and, with train, the
+    backprop cache (None otherwise)."""
     if feats_a.shape != feats_b.shape:
         raise ShapeMismatchError(f"{feats_a.shape} vs {feats_b.shape}")
     _check_context(feats_a.shape[1], cfg)
-    xa, enc_a = _encode(params, feats_a, cfg, "a")
-    xb, enc_b = _encode(params, feats_b, cfg, "b")
-    vap_logits, vad_logits, fuse_cache = _fuse(params, xa, xb, cfg)
-    return vap_logits, vad_logits, (enc_a, enc_b, fuse_cache)
+    xa, enc_a = _encode(params, feats_a, cfg, "a", train)
+    xb, enc_b = _encode(params, feats_b, cfg, "b", train)
+    vap_logits, vad_logits, fuse_cache = _fuse(params, xa, xb, cfg, train=train)
+    return vap_logits, vad_logits, ((enc_a, enc_b, fuse_cache) if train else None)
 
 
 def _backward(params, cfg: ModelConfig, cache, dvap_logits, dvad_logits) -> dict:
@@ -513,9 +518,11 @@ def forward_last(params: dict, feats_a, enc_b: np.ndarray, cfg: ModelConfig) -> 
     return PredictionOutput(vap=_softmax(vap_logits[:, -1]), vad=_sigmoid(vad_logits[:, -1]))
 
 
-def loss_and_grads_from_logits(vap_logits, vad_logits, target_state, target_vad):
-    """Masked joint loss (projection CE plus per-speaker activity BCE) and the
-    gradients with respect to both logit tensors.
+def _loss_terms(vap_logits, vad_logits, target_state, target_vad):
+    """Masked joint loss (projection CE plus per-speaker activity BCE), and
+    the masked terms its gradient is built from: the mask, the number of
+    target frames, the projection log-probabilities (n, N_STATES), their
+    targets, and the activity logits and targets (n, 2).
 
     target_state entries of -1 mark frames excluded from both task losses.
     """
@@ -523,30 +530,35 @@ def loss_and_grads_from_logits(vap_logits, vad_logits, target_state, target_vad)
     n = int(mask.sum())
     if n == 0:
         raise NoTargetsError("no frames with targets in batch")
-    sel = vap_logits[mask]
+    logp = vap_logits[mask]
     tgt = target_state[mask]
-    m = sel.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(sel - m).sum(axis=1, keepdims=True))
-    logp = sel - lse
+    m = logp.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logp - m).sum(axis=1, keepdims=True))
+    logp -= lse
     l_vap = float(-logp[np.arange(n), tgt].mean())
-    dsel = np.exp(logp)
+    z = vad_logits[mask]
+    t = target_vad[mask]
+    l_vad = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
+    return LossBreakdown(l_vap + l_vad, l_vap, l_vad), (mask, n, logp, tgt, z, t)
+
+
+def loss_from_logits(vap_logits, vad_logits, target_state, target_vad) -> LossBreakdown:
+    """Masked joint loss; builds no gradient."""
+    return _loss_terms(vap_logits, vad_logits, target_state, target_vad)[0]
+
+
+def loss_and_grads_from_logits(vap_logits, vad_logits, target_state, target_vad):
+    """loss_from_logits and the gradients with respect to both logit tensors."""
+    breakdown, (mask, n, logp, tgt, z, t) = _loss_terms(vap_logits, vad_logits, target_state, target_vad)
+    dsel = np.exp(logp, out=logp)
     dsel[np.arange(n), tgt] -= 1.0
     dsel /= n
     dvap = np.zeros_like(vap_logits)
     dvap[mask] = dsel
-
-    z = vad_logits[mask]
-    t = target_vad[mask]
-    l_vad = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
     dz = (_sigmoid(z) - t) / (n * 2)
     dvad = np.zeros_like(vad_logits)
     dvad[mask] = dz
-    return LossBreakdown(l_vap + l_vad, l_vap, l_vad), dvap, dvad
-
-
-def loss_from_logits(vap_logits, vad_logits, target_state, target_vad) -> LossBreakdown:
-    breakdown, _, _ = loss_and_grads_from_logits(vap_logits, vad_logits, target_state, target_vad)
-    return breakdown
+    return breakdown, dvap, dvad
 
 
 def loss(out: PredictionOutput, batch: FrameBatch) -> LossBreakdown:
@@ -571,10 +583,11 @@ def loss(out: PredictionOutput, batch: FrameBatch) -> LossBreakdown:
 
 def batch_loss_and_grads(params, cfg, feats_a, feats_b, target_state, target_vad):
     """Forward + backward over a stacked (B, T, ...) training batch."""
-    vap_logits, vad_logits, cache = _forward(params, feats_a, feats_b, cfg)
+    vap_logits, vad_logits, cache = _forward(params, feats_a, feats_b, cfg, train=True)
     breakdown, dvap, dvad = loss_and_grads_from_logits(
         vap_logits, vad_logits, target_state, target_vad
     )
+    del vap_logits, vad_logits  # backward reads only the cache and the logit gradients
     grads = _backward(params, cfg, cache, dvap, dvad)
     return breakdown, grads
 

@@ -96,8 +96,8 @@ def tile_to_length(noise: Waveform, n_samples: int, rng: np.random.Generator | N
     if src.size == 0:
         raise SilentAudioError("cannot tile an empty noise clip")
     offset = int(rng.integers(src.size)) if rng is not None else 0
-    idx = (offset + np.arange(n_samples)) % src.size
-    return src[idx]
+    # sample i is src[(offset + i) % src.size]
+    return np.resize(np.roll(src, -offset), n_samples)
 
 
 def mix_at_snr(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vapturn import datasets
 from vapturn.datasets import DatasetError, load_dataset, load_item, write_dataset
 from vapturn.simulate import DialogueScript, generate_scripted_dialogue
 from vapturn.stats import SampleDist
@@ -58,7 +59,7 @@ class TestWriteDataset:
 
     def test_load_dataset_splits(self, written):
         out, _ = written
-        splits = load_dataset(out)
+        splits = load_dataset(out, ["train", "valid", "test"])
         assert set(splits) == {"train", "valid", "test"}
         assert len(splits["train"]) == 8
         item_id, stereo = splits["train"][0]
@@ -66,4 +67,23 @@ class TestWriteDataset:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, ["test"])
+
+    def test_load_dataset_reads_only_named_splits(self, written, monkeypatch):
+        out, manifest = written
+        read = []
+        load_item = datasets.load_item
+
+        def record(base, item_id):
+            read.append(item_id)
+            return load_item(base, item_id)
+
+        monkeypatch.setattr(datasets, "load_item", record)
+        splits = load_dataset(out, ["test"])
+        assert list(splits) == ["test"]
+        assert read == [item_id for item_id, _ in splits["test"]] == manifest["splits"]["test"]
+
+    def test_unknown_split_rejected(self, written):
+        out, _ = written
+        with pytest.raises(DatasetError):
+            load_dataset(out, ["train", "dev"])

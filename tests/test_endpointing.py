@@ -110,6 +110,11 @@ class TestVapDecide:
             VapEndpointerConfig(consecutive_k=0)
         with pytest.raises(ValueError):
             VapEndpointerConfig(min_user_speech_ms=math.nan)
+
+    def test_infinite_speech_minimum_rejected(self):
+        # vap_decide could never fire, so a hybrid policy would silently be cloud-only
+        with pytest.raises(ValueError):
+            VapEndpointerConfig(min_user_speech_ms=math.inf)
         with pytest.raises(ValueError):
             SttSimConfig(silence_threshold_ms=math.nan)
 

@@ -12,6 +12,7 @@ from vapturn.features import (
     N_MELS,
     WINDOW_SAMPLES,
     extract_features,
+    hop_frames,
     hz_to_mel,
     mel_band_edges_hz,
     mel_filterbank,
@@ -118,3 +119,27 @@ def test_filterbank_geometry():
     mels = hz_to_mel(edges)
     gaps = np.diff(mels)
     assert np.allclose(gaps, gaps[0], atol=1e-9)
+
+
+def _one_product_features(samples):
+    """The frontend as one product over every frame of the recording."""
+    spectrum = np.fft.rfft(hop_frames(samples) * np.hanning(WINDOW_SAMPLES), axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    return np.log(np.maximum(power @ mel_filterbank().T, LOG_FLOOR))
+
+
+def test_blocked_frontend_keeps_the_bits_of_one_product():
+    rng = np.random.default_rng(12)
+    counts = list(range(81)) + [32 * k + r for k in (3, 4, 9) for r in range(1, 8)]
+    for n_frames in counts:
+        samples = 0.1 * rng.standard_normal(n_frames * HOP_SAMPLES + int(rng.integers(HOP_SAMPLES)))
+        samples[: 2 * HOP_SAMPLES] = 0.0  # rows at the log floor too
+        got = extract_features(samples)
+        assert got.shape == (n_frames, N_MELS)
+        assert got.tobytes() == _one_product_features(samples).tobytes(), n_frames
+
+
+def test_memory_peak_does_not_grow_with_the_recording(traced_peak_bytes):
+    samples = 0.1 * np.random.default_rng(13).standard_normal(60 * 10 * HOP_SAMPLES)
+    # spectra of the whole minute at once would take 66 MiB
+    assert traced_peak_bytes(lambda: extract_features(samples)) < 20 * 2**20

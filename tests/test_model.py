@@ -10,6 +10,7 @@ from vapturn.model import (
     NoTargetsError,
     ShapeMismatchError,
     _attn_fwd,
+    batch_loss_and_grads,
     forward,
     encode_channel,
     forward_last,
@@ -137,6 +138,26 @@ class TestForward:
         o1 = forward(p1, batch, cfg)
         o2 = forward(p2, batch, cfg)
         assert np.array_equal(o1.vap, o2.vap)
+
+    def test_backprop_cache_kept_only_for_training(self, params, cfg):
+        rng = np.random.default_rng(8)
+        fa, fb = rng.standard_normal((2, 3, 12, 40))
+        vap, vad, cache = _forward(params, fa, fb, cfg)
+        assert cache is None
+        vap_t, vad_t, cache_t = _forward(params, fa, fb, cfg, train=True)
+        assert cache_t is not None
+        assert np.array_equal(vap, vap_t) and np.array_equal(vad, vad_t)
+
+    def test_training_step_memory_peak_is_bounded(self, params, cfg, traced_peak_bytes):
+        rng = np.random.default_rng(9)
+        shape = (32, cfg.context_frames)
+        feats = rng.standard_normal(shape + (N_MELS,))
+        states = rng.integers(0, 256, shape)
+        vad = rng.integers(0, 2, shape + (2,)).astype(float)
+        # about 10 MiB more if the logits outlive the loss or the FFN caches
+        # its pre-activations beside its activations
+        peak = traced_peak_bytes(lambda: batch_loss_and_grads(params, cfg, feats, feats, states, vad))
+        assert peak < 45 * 2**20
 
 
 class TestLastRow:

@@ -96,6 +96,18 @@ class TestMixAtSnr:
         assert np.array_equal(t1, t2)
         assert not np.array_equal(t1, t3)
 
+    @pytest.mark.parametrize("n_samples", [0, 1234, 3000, 3 * 3000 + 77])
+    @pytest.mark.parametrize("offset", [0, 1500, 2999])
+    def test_tiling_follows_the_clip_from_its_offset(self, offset, n_samples):
+        noi = _rand_wave(np.random.default_rng(7), n=3000)
+
+        class FixedOffset:
+            def integers(self, high):
+                return offset
+
+        tiled = tile_to_length(noi, n_samples, FixedOffset())
+        assert np.array_equal(tiled, noi.samples[(offset + np.arange(n_samples)) % 3000])
+
     @given(st.floats(min_value=0.1, max_value=0.9))
     @settings(max_examples=20, deadline=None)
     def test_linear_in_signal_before_clipping(self, a):

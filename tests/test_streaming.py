@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -627,16 +626,10 @@ class TestReplayRows:
         # every frame sounds, so each channel computes the window's rows of hops >= 1
         assert sum(len(f) for f in calls) == 2 * min(tick, cfg.context_frames)
 
-    def test_memory_peak_is_bounded_on_a_dialogue(self, params, cfg):
+    def test_memory_peak_is_bounded_on_a_dialogue(self, params, cfg, traced_peak_bytes):
         audio = generate_scripted_dialogue(DialogueScript(n_turns=6, seed=0)).stereo.channel_a
         assert audio.duration_s > 45.0
-        tracemalloc.start()
-        try:
-            replay(params, cfg, audio)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        assert traced_peak_bytes(lambda: replay(params, cfg, audio)) < 40e6
 
 
 def _record_model_inputs(monkeypatch) -> tuple[list, list]:

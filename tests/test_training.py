@@ -183,6 +183,23 @@ class TestFit:
             AugmentConfig(snr_set=snr_set)
 
 
+class TestEvalLoss:
+    def test_memory_peak_is_bounded(self, traced_peak_bytes):
+        cfg = ModelConfig()
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(4)
+        n = 64 * cfg.context_frames  # one eval batch of 64 windows
+        frames = FrameBatch(
+            rng.standard_normal((n, 40)),
+            rng.standard_normal((n, 40)),
+            rng.integers(0, 256, n),
+            rng.integers(0, 2, (n, 2)).astype(float),
+        )
+        # a forward that keeps every block's backprop cache and a loss that
+        # builds its gradient take this batch past 100 MiB
+        assert traced_peak_bytes(lambda: training._eval_loss(params, cfg, [frames])) < 40 * 2**20
+
+
 class TestEvalPerSnr:
     def test_uniform_model_flat_table(self, corpus):
         cfg = ModelConfig()

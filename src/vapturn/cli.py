@@ -271,14 +271,13 @@ def cmd_train(resolved: dict, file_cfg: dict) -> int:
     )
     schedule = {key: resolved[key] for key in ("epochs", "lr", "lr_decay", "batch_size", "window_stride")}
     _config(check_schedule, **schedule)
-    data = load_dataset(resolved["data"], ["train", "valid"])
+    # lazy splits: fit reads each dialogue once and keeps only what it uses
+    splits = load_dataset(resolved["data"], ["train", "valid"])
     bank = _noise_bank(resolved) if resolved["mode"] == "mc" else None
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
     log = None if resolved["quiet"] else (lambda msg: print(msg, flush=True))
     params, history = fit(
-        data["train"],
-        data["valid"],
+        splits["train"],
+        splits["valid"],
         cfg,
         **schedule,
         augment=augment,
@@ -286,6 +285,9 @@ def cmd_train(resolved: dict, file_cfg: dict) -> int:
         seed=resolved["seed"],
         log=log,
     )
+    # made only now, so that an unreadable item leaves no output directory
+    out = Path(resolved["out"])
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params, cfg)
     write_history_csv(out / "history.csv", history)
     _dump_json(resolved, out / "config.json")
@@ -318,9 +320,9 @@ def cmd_eval(resolved: dict, file_cfg: dict) -> int:
     models = [load_checkpoint(path) for path in paths]
     items = load_dataset(resolved["data"], [resolved["split"]])[resolved["split"]]
     bank = _noise_bank(resolved)
+    tables, provenance = eval_per_snr(models, items, bank, snr_list=snr_list, seed=resolved["seed"])
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
-    tables, provenance = eval_per_snr(models, items, bank, snr_list=snr_list, seed=resolved["seed"])
     with open(out / "eval.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr_db"] + names)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -110,10 +111,34 @@ def load_item(data_dir, item_id: str) -> ScriptedDialogue:
     return ScriptedDialogue(stereo=stereo, turns=turns, seed=labels["seed"])
 
 
+class Split(Sequence):
+    """The (item_id, StereoDialogue) items of one split of a written dataset.
+
+    Lazy: an item is read from disk each time it is indexed or iterated
+    over, and nothing is cached, so a caller that keeps only part of each
+    item holds only that part.
+    """
+
+    def __init__(self, data_dir, item_ids):
+        self._base = Path(data_dir)
+        self._ids = tuple(item_ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Split(self._base, self._ids[index])
+        item_id = self._ids[index]
+        return item_id, load_item(self._base, item_id).stereo
+
+
 def load_dataset(data_dir, splits) -> dict:
-    """Load the named splits of a written dataset as
-    {split: [(item_id, StereoDialogue), ...]}, reading no other split's files.
-    A split the manifest does not name raises DatasetError."""
+    """The named splits of a written dataset as {split: Split}, lazy
+    sequences of (item_id, StereoDialogue). Reads only the manifest: an item
+    is read when its split is iterated, and no other split's files are. A
+    missing or unsupported manifest, or a split it does not name, raises
+    DatasetError."""
     base = Path(data_dir)
     manifest_path = base / MANIFEST_NAME
     if not manifest_path.exists():
@@ -124,7 +149,4 @@ def load_dataset(data_dir, splits) -> dict:
         raise DatasetError(f"unsupported manifest version {manifest.get('version')}")
     if unknown := [split for split in splits if split not in manifest["splits"]]:
         raise DatasetError(f"no split {unknown} in {manifest_path}: it has {sorted(manifest['splits'])}")
-    return {
-        split: [(item_id, load_item(base, item_id).stereo) for item_id in manifest["splits"][split]]
-        for split in splits
-    }
+    return {split: Split(base, manifest["splits"][split]) for split in splits}

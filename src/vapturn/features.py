@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, Waveform
+from .audio import SAMPLE_RATE, AudioError, Waveform
 
 HOP_SAMPLES = SAMPLE_RATE // 10
 WINDOW_SAMPLES = 4 * HOP_SAMPLES
@@ -19,6 +19,7 @@ N_MELS = 40
 LOG_FLOOR = 1e-10
 FRONTEND_BLOCK = 32  # frames per frontend product
 MIN_GEMM_ROWS = 8  # below this OpenBLAS rounds a product differently
+LEAD_FRAMES = WINDOW_SAMPLES // HOP_SAMPLES - 1  # frames that reach before the start
 
 
 def hz_to_mel(f):
@@ -62,32 +63,87 @@ def feature_frame_count(n_samples: int) -> int:
     return n_samples // HOP_SAMPLES
 
 
-def hop_frames(samples: np.ndarray) -> np.ndarray:
-    """Read-only (T, WINDOW_SAMPLES) view of 1-D samples: row t is the 400 ms
-    frame ending at hop t + 1, zero-padded before the start, with
-    T = floor(n_samples / 1600)."""
-    n_frames = feature_frame_count(samples.size)
-    padded = np.concatenate(
-        [np.zeros(WINDOW_SAMPLES - HOP_SAMPLES), samples[: n_frames * HOP_SAMPLES]]
-    )
-    stride = padded.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n_frames, WINDOW_SAMPLES),
+class NonFiniteAudioError(ValueError):
+    pass
+
+
+def _samples(w) -> np.ndarray:
+    x = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
+    if x.ndim != 1:
+        raise AudioError(f"audio must be 1-D mono samples, got an array of shape {x.shape}")
+    return x
+
+
+def _check_finite(*channels: np.ndarray) -> None:
+    for x in channels:
+        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+        if bad:
+            raise NonFiniteAudioError(f"audio holds {bad} NaN or infinite samples")
+
+
+def hop_frames(samples: np.ndarray, rows) -> np.ndarray:
+    """(len(rows), WINDOW_SAMPLES) frames of 1-D samples: row i is the 400 ms
+    frame ending at hop rows[i] + 1, zero-padded before the start, where
+    rows index the floor(n_samples / 1600) frames of the recording.
+
+    No padded copy of the recording is made. Consecutive rows from
+    LEAD_FRAMES on are a read-only strided view of the samples themselves;
+    any other rows are copied out of that view, and the first LEAD_FRAMES
+    frames, which reach before the start, are built apart.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    n_late = max(feature_frame_count(samples.size) - LEAD_FRAMES, 0)
+    stride = samples.strides[0]
+    # row r of late is frame r + LEAD_FRAMES, which starts at sample r * HOP_SAMPLES
+    late = np.lib.stride_tricks.as_strided(
+        samples,
+        shape=(n_late, WINDOW_SAMPLES),
         strides=(HOP_SAMPLES * stride, stride),
         writeable=False,
     )
+    if rows.size and rows[0] >= LEAD_FRAMES and (np.diff(rows) == 1).all():
+        return late[rows[0] - LEAD_FRAMES : rows[-1] + 1 - LEAD_FRAMES]
+    frames = np.empty((rows.size, WINDOW_SAMPLES))
+    # row by row: over this overlapping view a fancy-index gather of 300
+    # frames took 11 ms, row copies 0.6 ms (2-vCPU VM, numpy 2.4)
+    for i, t in enumerate(rows.tolist()):
+        if t >= LEAD_FRAMES:
+            frames[i] = late[t - LEAD_FRAMES]
+        else:
+            n = (t + 1) * HOP_SAMPLES
+            frames[i, :-n] = 0.0
+            frames[i, -n:] = samples[:n]
+    return frames
 
 
 def extract_features(w) -> np.ndarray:
     """Log-mel features, one (N_MELS,) row per 100 ms of audio.
 
-    Accepts a Waveform or a raw sample array. Returns shape (T, N_MELS) with
-    T = floor(n_samples / 1600), row t from hop_frames row t; silence maps to
-    log(LOG_FLOOR) in every band.
+    Accepts a Waveform or a raw sample array; a raw array that is not 1-D
+    raises AudioError, one with NaN or infinite samples NonFiniteAudioError.
+    Returns shape (T, N_MELS) with T = floor(n_samples / 1600), row t from
+    hop_frames row t. A frame with no nonzero sample gets the silent row,
+    log(LOG_FLOOR) in every band, without the frontend.
     """
-    samples = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
-    return _frame_features(hop_frames(samples))
+    samples = _samples(w)
+    if not isinstance(w, Waveform):  # a Waveform is checked when it is built
+        _check_finite(samples)
+    n = feature_frame_count(samples.size)
+    # frame t holds hops t - LEAD_FRAMES .. t, so sound is tested once per hop
+    hop_sound = samples[: n * HOP_SAMPLES].reshape(n, HOP_SAMPLES).any(axis=1)
+    sound = hop_sound.copy()
+    for lag in range(1, LEAD_FRAMES + 1):
+        sound[lag:] |= hop_sound[:-lag]
+    rows = np.flatnonzero(sound)
+    if rows.size < MIN_GEMM_ROWS:
+        # silent frames fill the product up to MIN_GEMM_ROWS rows (or all
+        # frames), so the sounding rows keep the bits of the full product
+        rows = np.union1d(rows, np.flatnonzero(~sound)[: MIN_GEMM_ROWS - rows.size])
+    out = silent_features(n).copy()
+    for start, end in _blocks(rows.size):
+        index = rows[start:end]
+        out[index] = _log_mel(hop_frames(samples, index))
+    return out
 
 
 def silent_features(n_frames: int) -> np.ndarray:
@@ -97,23 +153,27 @@ def silent_features(n_frames: int) -> np.ndarray:
     return np.broadcast_to(np.log(LOG_FLOOR), (n_frames, N_MELS))
 
 
-def _frame_features(frames: np.ndarray) -> np.ndarray:
-    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame.
-
-    Works FRONTEND_BLOCK frames at a time, so its memory does not grow with
-    n. A last block of fewer than MIN_GEMM_ROWS frames joins the one before
-    it: OpenBLAS rounds a product of fewer rows differently, and this way
-    every row has the bits of one product over all n frames.
-    """
-    n = len(frames)
-    out = np.empty((n, N_MELS))
+def _blocks(n: int):
+    """[start, end) blocks of FRONTEND_BLOCK of n rows, so that frontend
+    memory does not grow with n. A last block of fewer than MIN_GEMM_ROWS
+    rows joins the one before it: OpenBLAS rounds a product of fewer rows
+    differently, and this way every row has the bits of one product over
+    all n rows."""
     start = 0
     while start < n:
         end = start + FRONTEND_BLOCK
         if n - end < MIN_GEMM_ROWS:
             end = n
-        out[start:end] = _log_mel(frames[start:end])
+        yield start, end
         start = end
+
+
+def _frame_features(frames: np.ndarray) -> np.ndarray:
+    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame,
+    a block of _blocks at a time."""
+    out = np.empty((len(frames), N_MELS))
+    for start, end in _blocks(len(frames)):
+        out[start:end] = _log_mel(frames[start:end])
     return out
 
 

@@ -285,8 +285,11 @@ def _attn_bwd(dout, cache, p, base, heads, grads):
     dctx = (dout @ p[f"{base}.Wo"].T).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores /= math.sqrt(dh)
+    # dscores = attn * (dattn - rowsum(dattn * attn)) / sqrt(dh), built in place in dattn
+    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dattn *= attn
+    dattn /= math.sqrt(dh)
+    dscores = dattn
     dq = (dscores @ k).transpose(0, 2, 1, 3).reshape(b, t, d)
     dk = (dscores.transpose(0, 1, 3, 2) @ q).transpose(0, 2, 1, 3).reshape(b, t, d)
     dv = dv.transpose(0, 2, 1, 3).reshape(b, t, d)
@@ -533,7 +536,8 @@ def _loss_terms(vap_logits, vad_logits, target_state, target_vad):
     logp = vap_logits[mask]
     tgt = target_state[mask]
     m = logp.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logp - m).sum(axis=1, keepdims=True))
+    shifted = logp - m
+    lse = m + np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
     logp -= lse
     l_vap = float(-logp[np.arange(n), tgt].mean())
     z = vad_logits[mask]

@@ -120,14 +120,17 @@ def mix_at_snr(
     p_sig = mean_power(signal)
     if p_sig == 0.0:
         raise SilentAudioError("signal is silent; SNR undefined")
-    tiled = tile_to_length(noise, len(signal), rng)
-    p_noise = float(np.mean(tiled**2))
+    mixed = tile_to_length(noise, len(signal), rng)
+    p_noise = float(np.mean(mixed**2))
     if p_noise == 0.0:
         raise SilentAudioError("noise is silent; SNR undefined")
     gain = math.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
-    raw = signal.samples + gain * tiled
-    clipped = int(np.count_nonzero(np.abs(raw) > 1.0))
-    return Waveform(np.clip(raw, -1.0, 1.0)), clipped
+    # in place on the tiled noise: signal + gain * noise, then clipped
+    mixed *= gain
+    mixed += signal.samples
+    clipped = int(np.count_nonzero(np.abs(mixed) > 1.0))
+    np.clip(mixed, -1.0, 1.0, out=mixed)
+    return Waveform(mixed), clipped
 
 
 def sample_condition(

@@ -31,13 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, Waveform
+from .audio import SAMPLE_RATE
 from .codebook import entropy_nats, p_now_pair
 from .features import (
     HOP_SAMPLES,
     N_MELS,
     WINDOW_SAMPLES,
+    NonFiniteAudioError,
+    _check_finite,
     _frame_features,
+    _samples,
     hop_frames,
     silent_features,
 )
@@ -56,8 +59,8 @@ _KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - _ALL_KINDS)[:, None] * HOP_SA
 _HISTORY = WINDOW_SAMPLES - HOP_SAMPLES
 # windows per replay forward call, and rows per replay frontend call. On a
 # 54 s recording (2-vCPU VM, 1 BLAS thread) 16 and 32 ran equally fast, 64 and
-# 128 5-10 % slower. At 32, replay's traced peak on a 54 s dialogue is 23 MB:
-# one block's prediction step or frontend work, plus a padded copy of the recording
+# 128 5-10 % slower. At 32, replay's traced peak on a 54 s dialogue is 19.5 MB:
+# one block's prediction step or frontend work
 REPLAY_BLOCK = 32
 
 
@@ -67,24 +70,6 @@ class ModelNotAttachedError(RuntimeError):
 
 class MismatchedChunkError(ValueError):
     pass
-
-
-class NonFiniteAudioError(ValueError):
-    pass
-
-
-def _samples(w) -> np.ndarray:
-    x = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"audio must be 1-D mono samples, got an array of shape {x.shape}")
-    return x
-
-
-def _check_finite(*channels: np.ndarray) -> None:
-    for x in channels:
-        bad = x.size - int(np.count_nonzero(np.isfinite(x)))
-        if bad:
-            raise NonFiniteAudioError(f"audio holds {bad} NaN or infinite samples")
 
 
 @dataclass(frozen=True)
@@ -336,10 +321,9 @@ def _replay_rows(x: np.ndarray, ticks: np.ndarray, ctx: int) -> np.ndarray:
     read[ticks[:, None] - 1 + j, np.minimum(j, _KINDS - 1)] = True
     index, kinds = np.nonzero(read[lead:])
     # index i holds hop i + 1, whose frame is hop_frames row i
-    frames = hop_frames(audio)
     for i in range(0, len(index), REPLAY_BLOCK):
         h, m = index[i : i + REPLAY_BLOCK], kinds[i : i + REPLAY_BLOCK]
-        rows[lead + h, m] = _kind_rows(frames[h], m)
+        rows[lead + h, m] = _kind_rows(hop_frames(audio, h), m)
     return rows
 
 

@@ -138,16 +138,18 @@ def _eval_loss(params, cfg: ModelConfig, batches, batch_size: int = 64) -> LossB
 
 
 def _prepare_items(items) -> list:
-    """(user waveform, dialogue_frames) per item: everything augmentation and
-    noisy evaluation rows do not touch, computed once."""
-    return [(dialogue.channel_a, dialogue_frames(dialogue)) for _, dialogue in items]
+    """(item id, user waveform, dialogue_frames) per (item id, dialogue)
+    item, in one pass over items: everything augmentation and noisy
+    evaluation rows do not touch, computed once. Of each dialogue's audio
+    only the user channel is kept: they mix noise into it."""
+    return [(item_id, dialogue.channel_a, dialogue_frames(dialogue)) for item_id, dialogue in items]
 
 
 def _epoch_windows(prepared, augment: AugmentConfig, bank, cfg: ModelConfig,
                    stride: int, seed: int, epoch: int) -> list:
     """Fresh augmentation draw for every item, reusing cached clean features."""
     windows = []
-    for item_idx, (user, frames) in enumerate(prepared):
+    for item_idx, (_, user, frames) in enumerate(prepared):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(epoch, item_idx))
         )
@@ -206,9 +208,10 @@ def fit(
     augmented batches seen that epoch. Fully deterministic for a fixed seed.
     """
     check_schedule(epochs, lr, lr_decay, batch_size, window_stride)
-    train_items = list(train_items)
-    valid_items = list(valid_items)
-    if not train_items or not valid_items:
+    # one pass over each set, which may read its items from disk as it goes
+    prepared = _prepare_items(train_items)
+    valid_frames = [dialogue_frames(dialogue) for _, dialogue in valid_items]
+    if not prepared or not valid_frames:
         raise EmptyDatasetError("train and valid sets must be non-empty")
     params = init_params(cfg, seed=seed)
     history = []
@@ -224,11 +227,8 @@ def fit(
             "valid_vad": valid_bd.vad,
         }
 
-    prepared = _prepare_items(train_items)
-    valid_frames = [dialogue_frames(dialogue) for _, dialogue in valid_items]
-
     valid_bd = _eval_loss(params, cfg, valid_frames)
-    train_bd = _eval_loss(params, cfg, [frames for _, frames in prepared])
+    train_bd = _eval_loss(params, cfg, [frames for _, _, frames in prepared])
     history.append(epoch_row(0, train_bd, valid_bd))
     best = (valid_bd.total, clone_params(params))
     if log:
@@ -283,14 +283,14 @@ def eval_per_snr(
     noise on the user channel only.
 
     Noise draws are deterministic per (seed, SNR row, item) and shared by all
-    models. The robot and clean user features and the targets are computed
-    once per item; each noisy row extracts only its mixed user channel, once
-    for all models. bank may be None only when every row is clean. Returns
-    one loss table {snr: L_vap} per model and the condition provenance rows.
+    models. The items are read in one pass, after the SNR rows are checked;
+    the robot and clean user features and the targets are computed once per
+    item, and of its audio only the user channel is kept. Each noisy row
+    extracts only its mixed user channel, once for all models. bank may be
+    None only when every row is clean. Returns one loss table {snr: L_vap}
+    per model and the condition provenance rows.
     """
-    models, test_items = list(models), list(test_items)
-    if not test_items:
-        raise EmptyDatasetError("empty test set")
+    models = list(models)
     for snr in snr_list:
         check_snr(snr)
         if bank is None and not math.isinf(snr):
@@ -298,11 +298,13 @@ def eval_per_snr(
     if len(set(snr_list)) < len(snr_list):
         raise ValueError(f"snr_list {snr_list} repeats a value; each row is keyed by its SNR")
     prepared = _prepare_items(test_items)
+    if not prepared:
+        raise EmptyDatasetError("empty test set")
     tables = [{} for _ in models]
     provenance = []
     for row_idx, snr in enumerate(snr_list):
         batches = []
-        for item_idx, ((item_id, _), (user, frames)) in enumerate(zip(test_items, prepared)):
+        for item_idx, (item_id, user, frames) in enumerate(prepared):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(row_idx, item_idx))
             )

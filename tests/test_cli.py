@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from vapturn import cli
 from vapturn.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from vapturn.audio import Waveform, load_wav, save_wav
+from vapturn.datasets import write_dataset
 from vapturn.model import ModelConfig, init_params
+from vapturn.simulate import DialogueScript
 from vapturn.streaming import run_stream
 from vapturn.training import load_checkpoint, save_checkpoint
 
@@ -154,6 +157,31 @@ class TestTrain:
             "--config", str(cfg_path), "--quiet", *flags,
         ]) == EXIT_CONFIG
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unreadable_item_leaves_no_output(self, workspace, tmp_path, command):
+        # items are read inside fit and eval_per_snr, so --out is made after them
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        item_id = json.loads((data / "manifest.json").read_text())["splits"]["train"][-1]
+        (data / f"{item_id}_robot.wav").write_text("not a wav\n")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--epochs", "1", "--quiet"],
+            "eval": ["--checkpoint", str(workspace["run"] / "checkpoint.npz"), "--split", "train"],
+        }[command]
+        assert main([command, "--data", str(data), "--out", str(out), *argv]) == EXIT_RUNTIME
+        assert not out.exists()
+
+    def test_memory_peak_holds_the_user_audio_only(self, tmp_path, traced_peak_bytes):
+        # holding both channels of every train and valid dialogue took this
+        # run to 108 MiB; the user channels and the features take it to 74
+        write_dataset(tmp_path / "data", 10, DialogueScript(n_turns=3), seed=1)
+        argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
+                "--epochs", "1", "--quiet"]
+        codes = []
+        assert traced_peak_bytes(lambda: codes.append(main(argv))) < 90 * 2**20
+        assert codes == [EXIT_OK]
 
     def test_feature_bands_is_not_an_option(self, workspace, tmp_path):
         # the feature width is always the frontend's 40 bands

@@ -65,6 +65,26 @@ class TestWriteDataset:
         item_id, stereo = splits["train"][0]
         assert stereo.duration_s > 0
 
+    def test_splits_read_no_wav_until_used(self, written, monkeypatch):
+        out, manifest = written
+        read = []
+        load_wav = datasets.load_wav
+        monkeypatch.setattr(datasets, "load_wav", lambda path: read.append(path.name) or load_wav(path))
+        splits = load_dataset(out, ["train", "valid", "test"])
+        assert {k: len(v) for k, v in splits.items()} == {"train": 8, "valid": 1, "test": 1}
+        assert read == []
+        # lazy and uncached: every use reads the item again, and only it
+        last = manifest["splits"]["train"][-1]
+        assert splits["train"][-1][0] == last
+        assert read == [f"{last}_user.wav", f"{last}_robot.wav"]
+        read.clear()
+        assert [item_id for item_id, _ in splits["train"]] == manifest["splits"]["train"]
+        assert len(read) == 2 * 8
+        read.clear()
+        part = splits["train"][2:5]
+        assert len(part) == 3 and read == []
+        assert [item_id for item_id, _ in part] == manifest["splits"]["train"][2:5]
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError):
             load_dataset(tmp_path, ["test"])

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from vapturn.audio import Waveform
+from vapturn import features
+from vapturn.audio import AudioError, Waveform
 from vapturn.codebook import LABELS_PER_FEATURE_FRAME
 from vapturn.endpointing import FRAME_MS
 from vapturn.features import (
     HOP_SAMPLES,
     LOG_FLOOR,
+    MIN_GEMM_ROWS,
     N_MELS,
     WINDOW_SAMPLES,
+    NonFiniteAudioError,
     extract_features,
+    feature_frame_count,
     hop_frames,
     hz_to_mel,
     mel_band_edges_hz,
@@ -123,7 +127,8 @@ def test_filterbank_geometry():
 
 def _one_product_features(samples):
     """The frontend as one product over every frame of the recording."""
-    spectrum = np.fft.rfft(hop_frames(samples) * np.hanning(WINDOW_SAMPLES), axis=1)
+    frames = hop_frames(samples, np.arange(feature_frame_count(samples.size)))
+    spectrum = np.fft.rfft(frames * np.hanning(WINDOW_SAMPLES), axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     return np.log(np.maximum(power @ mel_filterbank().T, LOG_FLOOR))
 
@@ -139,7 +144,59 @@ def test_blocked_frontend_keeps_the_bits_of_one_product():
         assert got.tobytes() == _one_product_features(samples).tobytes(), n_frames
 
 
+def test_frontend_skips_frames_without_sound(monkeypatch):
+    # a frame with no nonzero sample gets the silent row without the
+    # frontend, and every row keeps the bits of one product over all frames;
+    # with fewer than MIN_GEMM_ROWS sounding frames, silent frames fill the
+    # product up to that many rows
+    rows = []
+    log_mel = features._log_mel
+    monkeypatch.setattr(features, "_log_mel", lambda frames: rows.append(len(frames)) or log_mel(frames))
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        n_frames = int(rng.integers(1, 120))
+        samples = np.zeros(n_frames * HOP_SAMPLES)
+        for _ in range(int(rng.integers(0, 6))):
+            start = int(rng.integers(samples.size))
+            burst = samples[start : start + int(rng.integers(1, 3 * HOP_SAMPLES))]
+            burst[:] = 0.1 * rng.standard_normal(burst.size)
+        hops = samples.reshape(n_frames, HOP_SAMPLES).any(axis=1)
+        sounding = sum(hops[max(0, t - 3) : t + 1].any() for t in range(n_frames))
+        rows.clear()
+        got = extract_features(samples)
+        assert got.tobytes() == _one_product_features(samples).tobytes()
+        assert sum(rows) == max(sounding, min(n_frames, MIN_GEMM_ROWS))
+        assert min(rows, default=MIN_GEMM_ROWS) >= min(n_frames, MIN_GEMM_ROWS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_raw_non_finite_audio_rejected(bad):
+    # one bad sample in 4800 would otherwise turn every feature NaN
+    samples = 0.1 * np.random.default_rng(15).standard_normal(3 * HOP_SAMPLES)
+    samples[1234] = bad
+    with pytest.raises(NonFiniteAudioError, match="1 NaN or infinite"):
+        extract_features(samples)
+
+
+def test_raw_audio_must_be_one_dimensional():
+    with pytest.raises(AudioError, match="1-D"):
+        extract_features(np.zeros((2, 2 * HOP_SAMPLES)))
+
+
 def test_memory_peak_does_not_grow_with_the_recording(traced_peak_bytes):
     samples = 0.1 * np.random.default_rng(13).standard_normal(60 * 10 * HOP_SAMPLES)
-    # spectra of the whole minute at once would take 66 MiB
-    assert traced_peak_bytes(lambda: extract_features(samples)) < 20 * 2**20
+    # spectra of the whole minute at once would take 66 MiB, and a padded
+    # copy of the recording before striding took the peak to 11.8 MiB
+    assert traced_peak_bytes(lambda: extract_features(samples)) < 8 * 2**20
+
+
+def test_hop_frames_reads_the_samples_in_place():
+    samples = np.arange(6 * HOP_SAMPLES, dtype=np.float64)
+    frames = hop_frames(samples, [3, 4, 5])
+    assert np.shares_memory(frames, samples) and not frames.flags.writeable
+    # the first frames reach before the start: zeros, then the samples so far
+    head = hop_frames(samples, [0, 5, 2])
+    assert not np.shares_memory(head, samples)
+    assert np.array_equal(head[0], np.r_[np.zeros(3 * HOP_SAMPLES), samples[:HOP_SAMPLES]])
+    assert np.array_equal(head[1], samples[2 * HOP_SAMPLES :])
+    assert np.array_equal(head[2], np.r_[np.zeros(HOP_SAMPLES), samples[: 3 * HOP_SAMPLES]])

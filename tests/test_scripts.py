@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from vapturn import features, model, streaming
+from vapturn import cli, features, model, streaming
+from vapturn.datasets import write_dataset
+from vapturn.simulate import DialogueScript
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -35,7 +37,8 @@ def test_run_experiments_runs(capsys):
     assert "paired_dominance=True" in lines[8]
 
 
-def test_traced_benchmark_wraps_resolve(monkeypatch):
+def test_traced_benchmark_wraps_resolve(monkeypatch, tmp_path):
+    write_dataset(tmp_path, 10, DialogueScript(n_turns=1), seed=0)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     layers = importlib.import_module("layers")
@@ -53,6 +56,11 @@ def test_traced_benchmark_wraps_resolve(monkeypatch):
             assert len(run(params, cfg, audio)) == 3
             names = [span.name for span in tracer.spans[before:]]
             assert names.count("codebook.p_now_pair") == 3, run.__name__
+        # datasets.load.ms_per_item counts the items of the lazy splits
+        # through len(), reading none of them
+        before = len(tracer.spans)
+        cli.load_dataset(tmp_path, ["train", "valid"])
+        assert [(span.name, span.info) for span in tracer.spans[before:]] == [("datasets.load", 9.0)]
     finally:
         tracer.restore()
     assert streaming.extract_features is features.extract_features

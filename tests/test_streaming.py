@@ -419,7 +419,7 @@ class TestUserZeroGaps:
         sounding = [k for k in range(1, 61) if audio[max(0, k - 4) * 1600 : k * 1600].any()]
         assert 30 < len(sounding) < 60
         # the robot is silent throughout, so every call is the user's frame
-        assert np.array_equal(np.concatenate(frames), hop_frames(audio)[np.array(sounding) - 1])
+        assert np.array_equal(np.concatenate(frames), hop_frames(audio, np.array(sounding) - 1))
 
 
 class TestAudioShape:
@@ -609,10 +609,8 @@ class TestReplayRows:
         pairs = {(k - ctx + 1 + j, min(j, 3)) for k in range(1, 61) for j in range(ctx)}
         expected = []
         for x in (audio, robot):
-            frames = hop_frames(x)
             for hop, kind in pairs:
-                if hop >= 1 and frames[hop - 1].any():
-                    row = frames[hop - 1].copy()
+                if hop >= 1 and (row := hop_frames(x, [hop - 1])[0].copy()).any():
                     row[: (3 - kind) * HOP_SAMPLES] = 0.0
                     expected.append(row.tobytes())
         assert Counter(f.tobytes() for f in np.concatenate(calls)) == Counter(expected)

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import vapturn.training as training
+from vapturn import datasets
 from vapturn.audio import StereoDialogue
 from vapturn.codebook import frame_targets
 from vapturn.model import FrameBatch, ModelConfig, init_params
@@ -27,19 +30,25 @@ from vapturn.training import (
 )
 
 
+TINY_SCRIPT = DialogueScript(n_turns=1, user_reaction_s=SampleDist("normal", 1.0, 0.2), tail_s=2.2)
+
+
 def _tiny_corpus(n=8, seed=3):
-    script = DialogueScript(
-        n_turns=1,
-        user_reaction_s=SampleDist("normal", 1.0, 0.2),
-        tail_s=2.2,
-    )
-    scripts = session_scripts(n, script, seed=seed)
+    scripts = session_scripts(n, TINY_SCRIPT, seed=seed)
     return [(f"d{i}", generate_scripted_dialogue(s).stereo) for i, s in enumerate(scripts)]
 
 
 @pytest.fixture(scope="module")
 def corpus():
     return _tiny_corpus()
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A written 10-dialogue corpus: train 8, valid 1, test 1."""
+    out = tmp_path_factory.mktemp("corpus")
+    datasets.write_dataset(out, 10, TINY_SCRIPT, seed=4)
+    return out
 
 
 def oracle_state(horizon_a, horizon_b) -> int:
@@ -183,6 +192,63 @@ class TestFit:
             AugmentConfig(snr_set=snr_set)
 
 
+def _count_reads(monkeypatch, on_read=None) -> Counter:
+    """Count datasets.load_item calls per item id; on_read(dialogue) sees
+    each loaded dialogue."""
+    reads = Counter()
+    load_item = datasets.load_item
+
+    def counted(base, item_id):
+        reads[item_id] += 1
+        item = load_item(base, item_id)
+        if on_read is not None:
+            on_read(item.stereo)
+        return item
+
+    monkeypatch.setattr(datasets, "load_item", counted)
+    return reads
+
+
+class TestLazySplits:
+    """fit and eval_per_snr read a lazy split once and keep only the user
+    channel of its audio."""
+
+    def test_fit_reads_each_item_once(self, written, monkeypatch):
+        splits = datasets.load_dataset(written, ["train", "valid"])
+        reads = _count_reads(monkeypatch)
+        fit(splits["train"], splits["valid"], ModelConfig(context_frames=20), epochs=2,
+            bank=synthetic_noise_bank(0))
+        manifest = json.loads((written / "manifest.json").read_text())
+        assert reads == Counter(manifest["splits"]["train"] + manifest["splits"]["valid"])
+        assert sum(reads.values()) == 9
+
+    def test_eval_reads_each_item_once(self, written, monkeypatch):
+        cfg = ModelConfig(context_frames=20)
+        split = datasets.load_dataset(written, ["train"])["train"]
+        reads = _count_reads(monkeypatch)
+        (table,), prov = eval_per_snr([(init_params(cfg), cfg)], split, synthetic_noise_bank(0))
+        ids = json.loads((written / "manifest.json").read_text())["splits"]["train"]
+        assert reads == Counter(ids) and len(ids) == 8
+        assert [item_id for item_id, _, _ in prov] == 5 * ids
+
+    def test_no_dialogue_is_alive_at_the_first_training_step(self, written, monkeypatch):
+        loaded = []
+        reads = _count_reads(monkeypatch, lambda dialogue: loaded.append(weakref.ref(dialogue)))
+        alive = []
+        step = training.batch_loss_and_grads
+
+        def first_step(*args):
+            if not alive:
+                alive.append([ref for ref in loaded if ref() is not None])
+            return step(*args)
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", first_step)
+        splits = datasets.load_dataset(written, ["train", "valid"])
+        fit(splits["train"], splits["valid"], ModelConfig(context_frames=20), epochs=1)
+        assert len(loaded) == sum(reads.values()) == 9
+        assert alive == [[]]
+
+
 class TestEvalLoss:
     def test_memory_peak_is_bounded(self, traced_peak_bytes):
         cfg = ModelConfig()
@@ -196,8 +262,9 @@ class TestEvalLoss:
             rng.integers(0, 2, (n, 2)).astype(float),
         )
         # a forward that keeps every block's backprop cache and a loss that
-        # builds its gradient take this batch past 100 MiB
-        assert traced_peak_bytes(lambda: training._eval_loss(params, cfg, [frames])) < 40 * 2**20
+        # builds its gradient take this batch past 100 MiB; a loss holding
+        # four logit-sized arrays at once, to 28.6e6 bytes
+        assert traced_peak_bytes(lambda: training._eval_loss(params, cfg, [frames])) < 27e6
 
 
 class TestEvalPerSnr:

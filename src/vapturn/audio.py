@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,16 +42,21 @@ class Waveform:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        """Keeps its own read-only copy of the samples, clipped to [-1, 1].
+        AudioError for NaN or inf, or a peak above 1 + 1e-9."""
+        arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise AudioError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size:
-            if not np.isfinite(arr).all():
+            # min or max is NaN or infinite when any sample is
+            lo, hi = float(arr.min()), float(arr.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise AudioError("samples contain non-finite values")
-            peak = float(np.abs(arr).max())
+            peak = max(-lo, hi)
             if peak > 1.0 + 1e-9:
                 raise AudioError(f"sample amplitude {peak} outside [-1, 1]")
-        arr = np.clip(arr, -1.0, 1.0)
+            if peak > 1.0:
+                np.clip(arr, -1.0, 1.0, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

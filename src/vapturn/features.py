@@ -74,8 +74,12 @@ def _samples(w) -> np.ndarray:
     return x
 
 
-def _check_finite(*channels: np.ndarray) -> None:
+def _check_finite(*channels: np.ndarray | None) -> None:
+    """NonFiniteAudioError for the first channel with a NaN or infinite
+    sample; a None channel (a missing one) passes."""
     for x in channels:
+        if x is None:
+            continue
         bad = x.size - int(np.count_nonzero(np.isfinite(x)))
         if bad:
             raise NonFiniteAudioError(f"audio holds {bad} NaN or infinite samples")

@@ -195,14 +195,43 @@ def clone_params(params: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # primitives
+#
+# Forward primitives write only into arrays they allocate, never into their
+# inputs. With train they also return what their backward needs and cannot
+# recompute: a LayerNorm output is never kept, since _ln_out rebuilds it from
+# the LayerNorm's (xhat, inv) with the same bits.
+
+
+def _mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, kept: the bits of x.mean(axis=-1, keepdims=True)."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def _affine(x, w, b):
+    """x @ w + b."""
+    out = x @ w
+    out += b
+    return out
+
+
+def _split_heads(x, heads):
+    """(b, t, d) -> head-major (b, heads, t, d // heads) view: every
+    contraction over heads is then a batched dgemm."""
+    b, t, d = x.shape
+    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    """Inverse of _split_heads, as a new (b, t, d) array."""
+    b, heads, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, heads * dh)
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
     """Zero mean, unit variance per frame across feature bands (no parameters)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + STANDARDIZE_EPS)
+    z = x - _mean(x)
+    z /= np.sqrt(_mean(np.square(z)) + STANDARDIZE_EPS)
+    return z
 
 
 def _mat_grad(x, dout):
@@ -210,24 +239,38 @@ def _mat_grad(x, dout):
     return x.reshape(-1, x.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
 
 
-def _ln_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+def _ln_out(xhat, p, base, out=None):
+    """LayerNorm base's output g * xhat + b, written into out when given.
+    _ln_fwd makes its output here, and backward recomputes it here from the
+    cached xhat, so both have the same bits."""
+    out = np.multiply(xhat, p[f"{base}.g"], out=out)
+    out += p[f"{base}.b"]
+    return out
 
 
-def _ln_bwd(dout, cache, g):
+def _ln_fwd(x, p, base):
+    """LayerNorm base over the last axis: the output and its cache (xhat, inv)."""
+    xhat = x - _mean(x)
+    out = np.square(xhat)  # the variance's scratch, then the output
+    inv = 1.0 / np.sqrt(_mean(out) + LN_EPS)
+    xhat *= inv
+    return _ln_out(xhat, p, base, out=out), (xhat, inv)
+
+
+def _ln_bwd(dout, cache, p, base, grads):
+    """Adds LayerNorm base's parameter gradients to grads; returns dx."""
     xhat, inv = cache
-    dg = (dout * xhat).sum(axis=(0, 1))
-    db = dout.sum(axis=(0, 1))
-    dxhat = dout * g
-    mean_d = dxhat.mean(axis=-1, keepdims=True)
-    mean_dx = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - mean_d - xhat * mean_dx)
-    return dx, dg, db
+    scratch = dout * xhat
+    grads[f"{base}.g"] += scratch.sum(axis=(0, 1))
+    grads[f"{base}.b"] += dout.sum(axis=(0, 1))
+    dxhat = dout * p[f"{base}.g"]
+    mean_d = _mean(dxhat)
+    mean_dx = _mean(np.multiply(dxhat, xhat, out=scratch))
+    # dx = inv * (dxhat - mean_d - xhat * mean_dx), built in place in dxhat
+    dxhat -= mean_d
+    dxhat -= np.multiply(xhat, mean_dx, out=scratch)
+    dxhat *= inv
+    return dxhat
 
 
 def _alibi_slopes(heads: int) -> np.ndarray:
@@ -250,51 +293,52 @@ def _score_bias(t: int, heads: int):
     return bias
 
 
-def _attn_fwd(q_in, kv_in, p, base, heads):
+def _attn_fwd(q_in, kv_in, p, base, heads, train=False):
     """Attention of the query rows over the key/value rows.
 
-    With fewer query rows than key/value rows, the queries are the last
+    Either input may have batch size 1 against the other's B: that side is
+    projected once and broadcast in the products, and the output has batch
+    B. With fewer query rows than key/value rows, the queries are the last
     t_q positions of the sequence (the causal mask and distance penalty are
-    those rows of the full-length bias). Only _forward's full-row caches
-    (t_q == t_kv) are valid input to _attn_bwd.
+    those rows of the full-length bias). With train, also returns the cache
+    (q, k, v, probabilities, context); only full-row caches (t_q == t_kv) of
+    equal batches are valid input to _attn_bwd.
     """
-    b, t_q, d = q_in.shape
+    t_q, d = q_in.shape[1:]
     t_kv = kv_in.shape[1]
-    dh = d // heads
-    # head-major layout (b, heads, t, dh) keeps every contraction a batched dgemm
-    q = (q_in @ p[f"{base}.Wq"] + p[f"{base}.bq"]).reshape(b, t_q, heads, dh).transpose(0, 2, 1, 3)
-    k = (kv_in @ p[f"{base}.Wk"] + p[f"{base}.bk"]).reshape(b, t_kv, heads, dh).transpose(0, 2, 1, 3)
-    v = (kv_in @ p[f"{base}.Wv"] + p[f"{base}.bv"]).reshape(b, t_kv, heads, dh).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
+    q = _split_heads(_affine(q_in, p[f"{base}.Wq"], p[f"{base}.bq"]), heads)
+    k = _split_heads(_affine(kv_in, p[f"{base}.Wk"], p[f"{base}.bk"]), heads)
+    v = _split_heads(_affine(kv_in, p[f"{base}.Wv"], p[f"{base}.bv"]), heads)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(d // heads)
     scores += _score_bias(t_kv, heads)[None, :, t_kv - t_q :]
     scores -= scores.max(axis=-1, keepdims=True)
-    expd = np.exp(scores)
-    attn = expd / expd.sum(axis=-1, keepdims=True)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t_q, d)
-    out = ctx @ p[f"{base}.Wo"] + p[f"{base}.bo"]
-    cache = (q_in, kv_in, q, k, v, attn, ctx)
-    return out, cache
+    attn = np.exp(scores, out=scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(attn @ v)
+    out = _affine(ctx, p[f"{base}.Wo"], p[f"{base}.bo"])
+    return out, ((q, k, v, attn, ctx) if train else None)
 
 
-def _attn_bwd(dout, cache, p, base, heads, grads):
-    q_in, kv_in, q, k, v, attn, ctx = cache
-    b, t, d = q_in.shape
-    dh = d // heads
+def _attn_bwd(dout, cache, q_in, kv_in, p, base, heads, grads):
+    """Backward of _attn_fwd, given its inputs q_in and kv_in again."""
+    q, k, v, attn, ctx = cache
+    dh = dout.shape[-1] // heads
     grads[f"{base}.Wo"] += _mat_grad(ctx, dout)
     grads[f"{base}.bo"] += dout.sum(axis=(0, 1))
-    dctx = (dout @ p[f"{base}.Wo"].T).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    dctx = _split_heads(dout @ p[f"{base}.Wo"].T, heads)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dv = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx)
     # dscores = attn * (dattn - rowsum(dattn * attn)) / sqrt(dh), built in place in dattn
     dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
     dattn *= attn
     dattn /= math.sqrt(dh)
     dscores = dattn
-    dq = (dscores @ k).transpose(0, 2, 1, 3).reshape(b, t, d)
-    dk = (dscores.transpose(0, 1, 3, 2) @ q).transpose(0, 2, 1, 3).reshape(b, t, d)
-    dv = dv.transpose(0, 2, 1, 3).reshape(b, t, d)
+    dq = _merge_heads(dscores @ k)
+    dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ q)
     dq_in = dq @ p[f"{base}.Wq"].T
-    dkv_in = dk @ p[f"{base}.Wk"].T + dv @ p[f"{base}.Wv"].T
+    dkv_in = dk @ p[f"{base}.Wk"].T
+    dkv_in += dv @ p[f"{base}.Wv"].T
     grads[f"{base}.Wq"] += _mat_grad(q_in, dq)
     grads[f"{base}.bq"] += dq.sum(axis=(0, 1))
     grads[f"{base}.Wk"] += _mat_grad(kv_in, dk)
@@ -304,73 +348,73 @@ def _attn_bwd(dout, cache, p, base, heads, grads):
     return dq_in, dkv_in
 
 
-def _ffn_fwd(x, p, base):
-    pre = x @ p[f"{base}.W1"] + p[f"{base}.b1"]
-    hid = np.maximum(pre, 0.0)
-    out = hid @ p[f"{base}.W2"] + p[f"{base}.b2"]
-    return out, (x, hid)
+def _ffn_fwd(x, p, base, train=False):
+    """Two-layer ReLU FFN; with train, also returns its post-ReLU hidden layer."""
+    hid = _affine(x, p[f"{base}.W1"], p[f"{base}.b1"])
+    np.maximum(hid, 0.0, out=hid)
+    return _affine(hid, p[f"{base}.W2"], p[f"{base}.b2"]), (hid if train else None)
 
 
-def _ffn_bwd(dout, cache, p, base, grads):
-    x, hid = cache
+def _ffn_bwd(dout, hid, x, p, base, grads):
+    """Backward of _ffn_fwd from its hidden layer hid and input x."""
     grads[f"{base}.W2"] += _mat_grad(hid, dout)
     grads[f"{base}.b2"] += dout.sum(axis=(0, 1))
-    # ReLU: hid > 0 exactly where its pre-activation is
-    dhid = (dout @ p[f"{base}.W2"].T) * (hid > 0)
+    dhid = dout @ p[f"{base}.W2"].T
+    dhid *= hid > 0  # ReLU: hid > 0 exactly where its pre-activation is
     grads[f"{base}.W1"] += _mat_grad(x, dhid)
     grads[f"{base}.b1"] += dhid.sum(axis=(0, 1))
     return dhid @ p[f"{base}.W1"].T
 
 
 def _self_block_fwd(x, p, base, heads, train=False):
-    a1, ln1_cache = _ln_fwd(x, p[f"{base}.ln1.g"], p[f"{base}.ln1.b"])
-    att, att_cache = _attn_fwd(a1, a1, p, f"{base}.attn", heads)
-    x1 = x + att
-    a2, ln2_cache = _ln_fwd(x1, p[f"{base}.ln2.g"], p[f"{base}.ln2.b"])
-    f, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn")
-    return x1 + f, ((ln1_cache, att_cache, ln2_cache, ffn_cache) if train else None)
+    a1, ln1_cache = _ln_fwd(x, p, f"{base}.ln1")
+    x1, att_cache = _attn_fwd(a1, a1, p, f"{base}.attn", heads, train)
+    x1 += x
+    a2, ln2_cache = _ln_fwd(x1, p, f"{base}.ln2")
+    out, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn", train)
+    out += x1
+    return out, ((ln1_cache, att_cache, ln2_cache, ffn_cache) if train else None)
 
 
 def _self_block_bwd(dout, cache, p, base, heads, grads):
     ln1_cache, att_cache, ln2_cache, ffn_cache = cache
-    da2 = _ffn_bwd(dout, ffn_cache, p, f"{base}.ffn", grads)
-    dx1, dg, db = _ln_bwd(da2, ln2_cache, p[f"{base}.ln2.g"])
-    grads[f"{base}.ln2.g"] += dg
-    grads[f"{base}.ln2.b"] += db
-    dx1 = dx1 + dout
-    dq_in, dkv_in = _attn_bwd(dx1, att_cache, p, f"{base}.attn", heads, grads)
-    da1 = dq_in + dkv_in
-    dx, dg, db = _ln_bwd(da1, ln1_cache, p[f"{base}.ln1.g"])
-    grads[f"{base}.ln1.g"] += dg
-    grads[f"{base}.ln1.b"] += db
-    return dx + dx1
+    a2 = _ln_out(ln2_cache[0], p, f"{base}.ln2")
+    da2 = _ffn_bwd(dout, ffn_cache, a2, p, f"{base}.ffn", grads)
+    dx1 = _ln_bwd(da2, ln2_cache, p, f"{base}.ln2", grads)
+    dx1 += dout
+    a1 = _ln_out(ln1_cache[0], p, f"{base}.ln1")
+    da1, dkv_in = _attn_bwd(dx1, att_cache, a1, a1, p, f"{base}.attn", heads, grads)
+    da1 += dkv_in
+    dx = _ln_bwd(da1, ln1_cache, p, f"{base}.ln1", grads)
+    dx += dx1
+    return dx
 
 
 def _cross_block_fwd(x_self, x_other, p, base, heads, train=False):
-    q, lnq_cache = _ln_fwd(x_self, p[f"{base}.lnq.g"], p[f"{base}.lnq.b"])
-    kv, lnkv_cache = _ln_fwd(x_other, p[f"{base}.lnkv.g"], p[f"{base}.lnkv.b"])
-    att, att_cache = _attn_fwd(q, kv, p, f"{base}.attn", heads)
-    y = x_self + att
-    a2, ln2_cache = _ln_fwd(y, p[f"{base}.ln2.g"], p[f"{base}.ln2.b"])
-    f, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn")
-    return y + f, ((lnq_cache, lnkv_cache, att_cache, ln2_cache, ffn_cache) if train else None)
+    """Cross block of the queries x_self over x_other; either may have
+    batch size 1 against the other's B (see _attn_fwd)."""
+    q, lnq_cache = _ln_fwd(x_self, p, f"{base}.lnq")
+    kv, lnkv_cache = _ln_fwd(x_other, p, f"{base}.lnkv")
+    y, att_cache = _attn_fwd(q, kv, p, f"{base}.attn", heads, train)
+    y += x_self
+    a2, ln2_cache = _ln_fwd(y, p, f"{base}.ln2")
+    out, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn", train)
+    out += y
+    return out, ((lnq_cache, lnkv_cache, att_cache, ln2_cache, ffn_cache) if train else None)
 
 
 def _cross_block_bwd(dout, cache, p, base, heads, grads):
     lnq_cache, lnkv_cache, att_cache, ln2_cache, ffn_cache = cache
-    da2 = _ffn_bwd(dout, ffn_cache, p, f"{base}.ffn", grads)
-    dy, dg, db = _ln_bwd(da2, ln2_cache, p[f"{base}.ln2.g"])
-    grads[f"{base}.ln2.g"] += dg
-    grads[f"{base}.ln2.b"] += db
-    dy = dy + dout
-    dq, dkv = _attn_bwd(dy, att_cache, p, f"{base}.attn", heads, grads)
-    dx_self, dg, db = _ln_bwd(dq, lnq_cache, p[f"{base}.lnq.g"])
-    grads[f"{base}.lnq.g"] += dg
-    grads[f"{base}.lnq.b"] += db
-    dx_self = dx_self + dy
-    dx_other, dg, db = _ln_bwd(dkv, lnkv_cache, p[f"{base}.lnkv.g"])
-    grads[f"{base}.lnkv.g"] += dg
-    grads[f"{base}.lnkv.b"] += db
+    a2 = _ln_out(ln2_cache[0], p, f"{base}.ln2")
+    da2 = _ffn_bwd(dout, ffn_cache, a2, p, f"{base}.ffn", grads)
+    dy = _ln_bwd(da2, ln2_cache, p, f"{base}.ln2", grads)
+    dy += dout
+    q = _ln_out(lnq_cache[0], p, f"{base}.lnq")
+    kv = _ln_out(lnkv_cache[0], p, f"{base}.lnkv")
+    dq, dkv = _attn_bwd(dy, att_cache, q, kv, p, f"{base}.attn", heads, grads)
+    dx_self = _ln_bwd(dq, lnq_cache, p, f"{base}.lnq", grads)
+    dx_self += dy
+    dx_other = _ln_bwd(dkv, lnkv_cache, p, f"{base}.lnkv", grads)
     return dx_self, dx_other
 
 
@@ -388,98 +432,121 @@ def _check_context(n_frames: int, cfg: ModelConfig) -> None:
 def _encode(params, feats, cfg: ModelConfig, stream: str, train: bool = False):
     """One channel's encoder: standardize, input projection, self blocks.
 
-    Returns the (B, T, model_dim) output and, with train, the cache _backward
-    needs (None otherwise).
+    Returns the (B, T, model_dim) output and, with train, the cache
+    (standardized features, [block caches]) _backward needs (None otherwise).
     """
     z = standardize(feats)
-    x = z @ params["in.W"] + params["in.b"]
-    caches = []
+    x = _affine(z, params["in.W"], params["in.b"])
+    blocks = []
     for layer in range(cfg.channel_layers):
         x, cache = _self_block_fwd(x, params, f"ch.{stream}.{layer}", cfg.heads, train)
-        caches.append(cache)
-    return x, ((z, caches) if train else None)
+        blocks.append(cache)
+    return x, ((z, blocks) if train else None)
 
 
 def _fuse(params, xa, xb, cfg: ModelConfig, last_row: bool = False, train: bool = False):
     """Fusion stage over both channels' encodings: cross layers, final LN, heads.
 
-    With last_row, the last cross layer, the final LN and the heads run on the
-    newest frame only, so the logits have one row per sequence; earlier cross
-    layers still run on every row because they feed the other channel's keys
-    and values. With train (full rows only), also returns the cache _backward
+    xb may have batch size 1 against xa's B: one robot encoding shared by
+    every window. With last_row, the last cross layer, the final LN and the
+    heads run on the newest frame only, so the logits have one row per
+    sequence; earlier cross layers still run on every row because they feed
+    the other channel's keys and values. With train (full rows only), also
+    returns the cache ([cross block caches], final LN caches) _backward
     needs; otherwise None.
     """
-    cross_caches = []
+    cross = []
     for layer in range(cfg.cross_layers):
         qa, qb = xa, xb
         if last_row and layer == cfg.cross_layers - 1:
             qa, qb = xa[:, -1:], xb[:, -1:]
         ya, ca = _cross_block_fwd(qa, xb, params, f"x.a.{layer}", cfg.heads, train)
         yb, cb = _cross_block_fwd(qb, xa, params, f"x.b.{layer}", cfg.heads, train)
-        cross_caches.append((ca, cb))
+        cross += [ca, cb]
         xa, xb = ya, yb
-    ha, lnf_a = _ln_fwd(xa, params["final.g"], params["final.b"])
-    hb, lnf_b = _ln_fwd(xb, params["final.g"], params["final.b"])
-    fused = ha + hb
-    vap_logits = fused @ params["vap.W"] + params["vap.b"]
+    ha, lnf_a = _ln_fwd(xa, params, "final")
+    hb, lnf_b = _ln_fwd(xb, params, "final")
     w_vad = params["vad.W"]
     b_vad = params["vad.b"]
     vad_logits = np.stack([ha @ w_vad[:, 0] + b_vad[0], hb @ w_vad[:, 1] + b_vad[1]], axis=-1)
-    cache = (cross_caches, lnf_a, lnf_b, ha, hb, fused) if train else None
-    return vap_logits, vad_logits, cache
+    fused = ha
+    fused += hb
+    vap_logits = _affine(fused, params["vap.W"], params["vap.b"])
+    return vap_logits, vad_logits, ((cross, lnf_a, lnf_b) if train else None)
 
 
 def _forward(params, feats_a, feats_b, cfg: ModelConfig, train: bool = False):
     """Batched forward pass; returns raw head logits and, with train, the
-    backprop cache (None otherwise)."""
+    backprop cache (None otherwise).
+
+    The train cache is a list that _backward consumes. Per channel it holds
+    the standardized features and, per self block, each LayerNorm's
+    (xhat, inv), the attention's (q, k, v, probabilities, context) and the
+    FFN's post-ReLU hidden layer; each cross block holds the same; and the
+    final LayerNorms hold their (xhat, inv). No LayerNorm output is kept:
+    backward recomputes the attention and FFN inputs and the final ha, hb
+    and fused with _ln_out, bit for bit.
+    """
     if feats_a.shape != feats_b.shape:
         raise ShapeMismatchError(f"{feats_a.shape} vs {feats_b.shape}")
     _check_context(feats_a.shape[1], cfg)
     xa, enc_a = _encode(params, feats_a, cfg, "a", train)
     xb, enc_b = _encode(params, feats_b, cfg, "b", train)
     vap_logits, vad_logits, fuse_cache = _fuse(params, xa, xb, cfg, train=train)
-    return vap_logits, vad_logits, ((enc_a, enc_b, fuse_cache) if train else None)
+    return vap_logits, vad_logits, ([enc_a, enc_b, fuse_cache] if train else None)
 
 
-def _backward(params, cfg: ModelConfig, cache, dvap_logits, dvad_logits) -> dict:
-    (za, ch_caches_a), (zb, ch_caches_b), fuse_cache = cache
-    cross_caches, lnf_a, lnf_b, ha, hb, fused = fuse_cache
+def _backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
+    """Gradients of every parameter from _forward's train cache and the
+    logit gradients dlogits = [dvap_logits, dvad_logits].
+
+    Consumes both: it empties the two lists, and releases each block's cache
+    and the logit gradients as soon as it has used them, so memory falls as
+    backward runs.
+    """
+    (za, blocks_a), (zb, blocks_b), (cross, lnf_a, lnf_b) = cache
+    dvap, dvad = dlogits
+    cache.clear()
+    dlogits.clear()
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dfused = dvap_logits @ params["vap.W"].T
-    grads["vap.W"] += _mat_grad(fused, dvap_logits)
-    grads["vap.b"] += dvap_logits.sum(axis=(0, 1))
+    ha = _ln_out(lnf_a[0], params, "final")
+    hb = _ln_out(lnf_b[0], params, "final")
+    grads["vap.W"] += _mat_grad(ha + hb, dvap)
+    grads["vap.b"] += dvap.sum(axis=(0, 1))
+    dha = dvap @ params["vap.W"].T
+    del dvap
     w_vad = params["vad.W"]
-    dha = dfused + dvad_logits[..., 0:1] * w_vad[:, 0]
-    dhb = dfused + dvad_logits[..., 1:2] * w_vad[:, 1]
-    grads["vad.W"][:, 0] += ha.reshape(-1, ha.shape[-1]).T @ dvad_logits[..., 0].ravel()
-    grads["vad.b"][0] += dvad_logits[..., 0].sum()
-    grads["vad.W"][:, 1] += hb.reshape(-1, hb.shape[-1]).T @ dvad_logits[..., 1].ravel()
-    grads["vad.b"][1] += dvad_logits[..., 1].sum()
-    dxa, dg, db = _ln_bwd(dha, lnf_a, params["final.g"])
-    grads["final.g"] += dg
-    grads["final.b"] += db
-    dxb, dg, db = _ln_bwd(dhb, lnf_b, params["final.g"])
-    grads["final.g"] += dg
-    grads["final.b"] += db
+    dhb = dha + dvad[..., 1:2] * w_vad[:, 1]
+    dha += dvad[..., 0:1] * w_vad[:, 0]
+    grads["vad.W"][:, 0] += ha.reshape(-1, ha.shape[-1]).T @ dvad[..., 0].ravel()
+    grads["vad.b"][0] += dvad[..., 0].sum()
+    grads["vad.W"][:, 1] += hb.reshape(-1, hb.shape[-1]).T @ dvad[..., 1].ravel()
+    grads["vad.b"][1] += dvad[..., 1].sum()
+    del ha, hb, dvad
+    dxa = _ln_bwd(dha, lnf_a, params, "final", grads)
+    dxb = _ln_bwd(dhb, lnf_b, params, "final", grads)
+    del lnf_a, lnf_b, dha, dhb
     for layer in reversed(range(cfg.cross_layers)):
-        ca, cb = cross_caches[layer]
-        dself_a, dother_a = _cross_block_bwd(dxa, ca, params, f"x.a.{layer}", cfg.heads, grads)
-        dself_b, dother_b = _cross_block_bwd(dxb, cb, params, f"x.b.{layer}", cfg.heads, grads)
-        dxa = dself_a + dother_b
-        dxb = dself_b + dother_a
+        # the layer's caches were pushed a then b
+        dself_b, dother_b = _cross_block_bwd(dxb, cross.pop(), params, f"x.b.{layer}", cfg.heads, grads)
+        dself_a, dother_a = _cross_block_bwd(dxa, cross.pop(), params, f"x.a.{layer}", cfg.heads, grads)
+        dself_a += dother_b
+        dself_b += dother_a
+        dxa, dxb = dself_a, dself_b
     for layer in reversed(range(cfg.channel_layers)):
-        ca, cb = ch_caches_a[layer], ch_caches_b[layer]
-        dxa = _self_block_bwd(dxa, ca, params, f"ch.a.{layer}", cfg.heads, grads)
-        dxb = _self_block_bwd(dxb, cb, params, f"ch.b.{layer}", cfg.heads, grads)
+        dxa = _self_block_bwd(dxa, blocks_a.pop(), params, f"ch.a.{layer}", cfg.heads, grads)
+        dxb = _self_block_bwd(dxb, blocks_b.pop(), params, f"ch.b.{layer}", cfg.heads, grads)
     grads["in.W"] += _mat_grad(za, dxa) + _mat_grad(zb, dxb)
     grads["in.b"] += dxa.sum(axis=(0, 1)) + dxb.sum(axis=(0, 1))
     return grads
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in logits."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -509,23 +576,24 @@ def forward_last(params: dict, feats_a, enc_b: np.ndarray, cfg: ModelConfig) -> 
     """Newest-frame predictions for a (B, T, bands) batch of user feature
     windows: vap is (B, N_STATES), vad is (B, 2). The robot channel comes as
     its encode_channel output enc_b, (B, T, model_dim), or (1, T, model_dim)
-    shared by every window. Equals the last row of forward on each window
-    pair up to float rounding."""
+    shared by every window; a shared encoding goes through its LayerNorm and
+    key/value projections once, not once per window, with the same bits.
+    Equals the last row of forward on each window pair up to float rounding."""
     batch, frames = feats_a.shape[:2]
     if enc_b.shape[0] not in (1, batch) or enc_b.shape[1] != frames:
         raise ShapeMismatchError(f"user features {feats_a.shape} vs robot encoding {enc_b.shape}")
     _check_context(frames, cfg)
     xa, _ = _encode(params, feats_a, cfg, "a")
-    xb = np.broadcast_to(enc_b, xa.shape)
-    vap_logits, vad_logits, _ = _fuse(params, xa, xb, cfg, last_row=True)
+    vap_logits, vad_logits, _ = _fuse(params, xa, enc_b, cfg, last_row=True)
     return PredictionOutput(vap=_softmax(vap_logits[:, -1]), vad=_sigmoid(vad_logits[:, -1]))
 
 
 def _loss_terms(vap_logits, vad_logits, target_state, target_vad):
     """Masked joint loss (projection CE plus per-speaker activity BCE), and
-    the masked terms its gradient is built from: the mask, the number of
-    target frames, the projection log-probabilities (n, N_STATES), their
-    targets, and the activity logits and targets (n, 2).
+    the terms its gradient is built from: the mask, the index arrays of the
+    target frames, their number n, their projection targets, and their
+    activity logits and targets (n, 2). Overwrites every row of vap_logits
+    with its log-softmax.
 
     target_state entries of -1 mark frames excluded from both task losses.
     """
@@ -533,32 +601,35 @@ def _loss_terms(vap_logits, vad_logits, target_state, target_vad):
     n = int(mask.sum())
     if n == 0:
         raise NoTargetsError("no frames with targets in batch")
-    logp = vap_logits[mask]
-    tgt = target_state[mask]
-    m = logp.max(axis=1, keepdims=True)
-    shifted = logp - m
-    lse = m + np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
-    logp -= lse
-    l_vap = float(-logp[np.arange(n), tgt].mean())
+    rows = np.nonzero(mask)
+    tgt = target_state[rows]
+    m = vap_logits.max(axis=-1, keepdims=True)
+    sums = np.empty_like(m)
+    # exp(logits - m) one leading index at a time: the logits stay intact for logp
+    for x, mx, s in zip(vap_logits, m, sums):
+        shifted = x - mx
+        s[...] = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
+    vap_logits -= m + np.log(sums)
+    l_vap = float(-vap_logits[rows + (tgt,)].mean())
     z = vad_logits[mask]
     t = target_vad[mask]
     l_vad = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
-    return LossBreakdown(l_vap + l_vad, l_vap, l_vad), (mask, n, logp, tgt, z, t)
+    return LossBreakdown(l_vap + l_vad, l_vap, l_vad), (mask, rows, n, tgt, z, t)
 
 
 def loss_from_logits(vap_logits, vad_logits, target_state, target_vad) -> LossBreakdown:
-    """Masked joint loss; builds no gradient."""
+    """Masked joint loss; builds no gradient. Overwrites vap_logits."""
     return _loss_terms(vap_logits, vad_logits, target_state, target_vad)[0]
 
 
 def loss_and_grads_from_logits(vap_logits, vad_logits, target_state, target_vad):
-    """loss_from_logits and the gradients with respect to both logit tensors."""
-    breakdown, (mask, n, logp, tgt, z, t) = _loss_terms(vap_logits, vad_logits, target_state, target_vad)
-    dsel = np.exp(logp, out=logp)
-    dsel[np.arange(n), tgt] -= 1.0
-    dsel /= n
-    dvap = np.zeros_like(vap_logits)
-    dvap[mask] = dsel
+    """loss_from_logits and the gradients with respect to both logit tensors.
+    The projection gradient is built in place: it is vap_logits' array."""
+    breakdown, (mask, rows, n, tgt, z, t) = _loss_terms(vap_logits, vad_logits, target_state, target_vad)
+    dvap = np.exp(vap_logits, out=vap_logits)
+    dvap[rows + (tgt,)] -= 1.0
+    dvap /= n
+    dvap[~mask] = 0.0
     dz = (_sigmoid(z) - t) / (n * 2)
     dvad = np.zeros_like(vad_logits)
     dvad[mask] = dz
@@ -586,14 +657,12 @@ def loss(out: PredictionOutput, batch: FrameBatch) -> LossBreakdown:
 
 
 def batch_loss_and_grads(params, cfg, feats_a, feats_b, target_state, target_vad):
-    """Forward + backward over a stacked (B, T, ...) training batch."""
+    """Forward + backward over a stacked (B, T, ...) training batch: the loss
+    and the gradients, and nothing else left allocated."""
     vap_logits, vad_logits, cache = _forward(params, feats_a, feats_b, cfg, train=True)
-    breakdown, dvap, dvad = loss_and_grads_from_logits(
-        vap_logits, vad_logits, target_state, target_vad
-    )
-    del vap_logits, vad_logits  # backward reads only the cache and the logit gradients
-    grads = _backward(params, cfg, cache, dvap, dvad)
-    return breakdown, grads
+    breakdown, *dlogits = loss_and_grads_from_logits(vap_logits, vad_logits, target_state, target_vad)
+    del vap_logits, vad_logits  # dlogits[0] is vap_logits' array; _backward frees it once used
+    return breakdown, _backward(params, cfg, cache, dlogits)
 
 
 def grad_check(

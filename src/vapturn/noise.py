@@ -128,7 +128,7 @@ def mix_at_snr(
     # in place on the tiled noise: signal + gain * noise, then clipped
     mixed *= gain
     mixed += signal.samples
-    clipped = int(np.count_nonzero(np.abs(mixed) > 1.0))
+    clipped = int(np.count_nonzero(mixed > 1.0)) + int(np.count_nonzero(mixed < -1.0))
     np.clip(mixed, -1.0, 1.0, out=mixed)
     return Waveform(mixed), clipped
 

@@ -263,15 +263,13 @@ def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
         t = _grid(robot_end + max(0.1, script.user_reaction_s.sample(rng)))
     total_s = _grid((turns[-1].robot_end_s if turns else 0.0) + script.tail_s)
     n = int(round(total_s * SAMPLE_RATE))
-    chan_a = np.zeros(n)
-    chan_b = np.zeros(n)
-    n_label = label_frame_count(n)
-    lab_a = np.zeros(n_label, dtype=bool)
-    lab_b = np.zeros(n_label, dtype=bool)
-    for segments, chan, lab, tilt in (
-        (user_segments, chan_a, lab_a, USER_TILT_DB_PER_OCTAVE),
-        (robot_segments, chan_b, lab_b, ROBOT_TILT_DB_PER_OCTAVE),
+    channels = []
+    for segments, tilt in (
+        (user_segments, USER_TILT_DB_PER_OCTAVE),
+        (robot_segments, ROBOT_TILT_DB_PER_OCTAVE),
     ):
+        chan = np.zeros(n)
+        lab = np.zeros(label_frame_count(n), dtype=bool)
         for start_s, dur_s, cue in segments:
             burst = render_burst(dur_s, rng, tilt, cue=cue)
             i0 = int(round(start_s * SAMPLE_RATE))
@@ -279,12 +277,11 @@ def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
             f0 = int(round(start_s * LABEL_FRAME_RATE))
             f1 = int(round((start_s + dur_s) * LABEL_FRAME_RATE))
             lab[f0:f1] = True
-    stereo = StereoDialogue(
-        channel_a=Waveform(chan_a),
-        channel_b=Waveform(chan_b),
-        vad_a=VadTrack(lab_a),
-        vad_b=VadTrack(lab_b),
-    )
+        # wrapped at once, so only one channel's raw buffer is ever alive
+        channels.append((Waveform(chan), VadTrack(lab)))
+        del chan
+    (wav_a, vad_a), (wav_b, vad_b) = channels
+    stereo = StereoDialogue(channel_a=wav_a, channel_b=wav_b, vad_a=vad_a, vad_b=vad_b)
     return ScriptedDialogue(stereo=stereo, turns=tuple(turns), seed=script.seed)
 
 

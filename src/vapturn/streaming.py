@@ -117,6 +117,17 @@ def _frame_result(clock, p_user, p_robot, vad_row, entropy, compute_ms) -> Frame
     )
 
 
+def _channels(wav_a, wav_b) -> tuple:
+    """(user samples, robot samples) of one recording or chunk, the robot's
+    None when wav_b is: a missing robot channel is silent, and no zeros are
+    made for it. MismatchedChunkError unless the two have one length."""
+    a = _samples(wav_a)
+    b = None if wav_b is None else _samples(wav_b)
+    if b is not None and b.size != a.size:
+        raise MismatchedChunkError(f"channel lengths differ: {a.size} vs {b.size}")
+    return a, b
+
+
 def _kind_rows(frames: np.ndarray, kinds: np.ndarray) -> np.ndarray:
     """(n, N_MELS) rows of n = len(kinds) frames, given as (n, WINDOW_SAMPLES)
     or as one (1, WINDOW_SAMPLES) frame for all of them: row i is the log-mel
@@ -195,16 +206,13 @@ class StreamContext:
         A chunk with NaN or infinite samples raises NonFiniteAudioError and
         leaves the queue and the clock unchanged.
         """
-        a = _samples(chunk_a)
-        b = np.zeros_like(a) if chunk_b is None else _samples(chunk_b)
-        if a.size != b.size:
-            raise MismatchedChunkError(f"chunk lengths differ: {a.size} vs {b.size}")
+        a, b = _channels(chunk_a, chunk_b)
         _check_finite(a, b)
         n = a.size
         if self._end + n > self._pending.shape[1]:
             self._make_room(n)
         self._pending[0, self._end : self._end + n] = a
-        self._pending[1, self._end : self._end + n] = b
+        self._pending[1, self._end : self._end + n] = 0.0 if b is None else b
         self._end += n
 
     def _make_room(self, n: int) -> None:
@@ -273,12 +281,7 @@ def run_stream(
     """Replay waveforms through a fresh StreamContext in chunks of chunk_samples >= 1."""
     if chunk_samples < 1:
         raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
-    a = _samples(wav_a)
-    b = None
-    if wav_b is not None:
-        b = _samples(wav_b)
-        if b.size != a.size:
-            raise MismatchedChunkError("channel lengths differ")
+    a, b = _channels(wav_a, wav_b)
     ctx = StreamContext(params, cfg)
     results = []
     for start in range(0, a.size, chunk_samples):
@@ -302,18 +305,18 @@ def _checked_ticks(ticks, n_ticks: int) -> np.ndarray:
     return sel
 
 
-def _replay_rows(x: np.ndarray, ticks: np.ndarray, ctx: int) -> np.ndarray:
-    """The rows the windows of ticks read from channel x: an array of shape
-    (ctx - 1 + n_ticks, _KINDS, N_MELS) holding hop i + 2 - ctx at index i,
-    so the window of tick k starts at index k - 1. Only the (hop, kind) pairs
-    those windows read, with hop >= 1, are computed, REPLAY_BLOCK to a
-    _kind_rows call; the rest are silent, all of them, as a read-only
-    broadcast, for zeros x."""
-    n_ticks = x.size // HOP_SAMPLES
+def _replay_rows(x: np.ndarray | None, ticks: np.ndarray, ctx: int, n_ticks: int) -> np.ndarray:
+    """The rows the windows of ticks read from channel x, of n_ticks hops:
+    an array of shape (ctx - 1 + n_ticks, _KINDS, N_MELS) holding hop
+    i + 2 - ctx at index i, so the window of tick k starts at index k - 1.
+    Only the (hop, kind) pairs those windows read, with hop >= 1, are
+    computed, REPLAY_BLOCK to a _kind_rows call; the rest are silent, all of
+    them, as a read-only broadcast, for zeros x or x None (a missing
+    channel)."""
     lead = ctx - 1
-    audio = x[: n_ticks * HOP_SAMPLES]
     rows = np.broadcast_to(silent_features(1), (lead + n_ticks, _KINDS, N_MELS))
-    if not audio.any():
+    audio = None if x is None else x[: n_ticks * HOP_SAMPLES]
+    if audio is None or not audio.any():
         return rows
     rows = rows.copy()
     read = np.zeros((lead + n_ticks, _KINDS), dtype=bool)
@@ -344,15 +347,13 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> lis
     """
     if params is None:
         raise ModelNotAttachedError("no model parameters attached to replay")
-    a = _samples(wav_a)
-    b = np.zeros_like(a) if wav_b is None else _samples(wav_b)
-    if a.size != b.size:
-        raise MismatchedChunkError("channel lengths differ")
-    ticks = _checked_ticks(ticks, a.size // HOP_SAMPLES)
+    a, b = _channels(wav_a, wav_b)
+    n_ticks = a.size // HOP_SAMPLES
+    ticks = _checked_ticks(ticks, n_ticks)
     _check_finite(a, b)
     if not ticks.size:
         return []
-    rows = [_replay_rows(c, ticks, cfg.context_frames) for c in (a, b)]
+    rows = [_replay_rows(c, ticks, cfg.context_frames, n_ticks) for c in (a, b)]
     silent_encoding = functools.cache(lambda: _silent_robot_encoding(params, cfg))
     results = []
     for i in range(0, len(ticks), REPLAY_BLOCK):

@@ -352,6 +352,14 @@ class TestSilentRobot:
             for field in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
                 assert abs(getattr(r, field) - getattr(s, field)) <= 1e-9, field
 
+    def test_replay_missing_robot_equals_zeros_bit_for_bit(self, cfg):
+        params = _trained_like_params(cfg, seed=9)
+        audio = _gappy_user(6.0, seed=41)
+        missing = replay(params, cfg, audio)
+        zeros = replay(params, cfg, audio, np.zeros(audio.size))
+        assert len(missing) == 60
+        assert [_fields(r) for r in missing] == [_fields(r) for r in zeros]
+
     def test_replay_robot_silent_after_start(self, monkeypatch):
         cfg = ModelConfig()
         params = _trained_like_params(cfg, seed=32)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, load_wav
+from .audio import SAMPLE_RATE, AudioError, load_wav
 from .endpointing import SttSimConfig, VapEndpointerConfig
 from .model import ModelConfig
 from .noise import DatasetSplitError, NoiseBank, synthetic_noise_bank, write_conditions_jsonl
@@ -151,13 +151,14 @@ def _resolve(args, file_cfg: dict, options: dict) -> dict:
 
 def _typed_like(key: str, default, value):
     """A config-file value checked against a default of the same JSON shape:
-    an object key by key, a list item by item against its first item, any
-    other value like a top-level key against the type of the default."""
+    an object key by key, over the default's keys, so a key it leaves out
+    keeps its default; a list item by item against its first item; any other
+    value like a top-level key against the type of the default."""
     if isinstance(default, dict):
         block = _typed(key, Opt({}, dict), value)
         if unknown := sorted(block.keys() - default.keys()):
             raise CliConfigError(f"config key {key!r} has unknown keys {unknown}")
-        return {k: _typed_like(f"{key}.{k}", default[k], v) for k, v in block.items()}
+        return {**default, **{k: _typed_like(f"{key}.{k}", default[k], v) for k, v in block.items()}}
     if isinstance(default, list):
         items = _typed(key, Opt([], list), value)
         return [_typed_like(f"{key}[{i}]", default[0], v) for i, v in enumerate(items)]
@@ -168,9 +169,12 @@ def _script_from(resolved: dict, file_cfg: dict) -> DialogueScript:
     """Defaults, then the config file's script block, then --turns."""
     script = DialogueScript()
     if "script" in file_cfg:
-        defaults = script.to_json_dict()
-        block = _typed_like("script", defaults, file_cfg["script"])
-        script = _config(DialogueScript.from_json_dict, {**defaults, **block})
+        block = _typed_like("script", script.to_json_dict(), file_cfg["script"])
+        if "seed" in file_cfg["script"]:
+            raise CliConfigError(
+                "config key 'script.seed' is not a setting: each dialogue's seed derives from --seed"
+            )
+        script = _config(DialogueScript.from_json_dict, block)
     if resolved["turns"] is not None:
         script = _config(replace, script, n_turns=resolved["turns"])
     return script
@@ -202,9 +206,14 @@ def _parse_snr_tokens(text: str) -> tuple:
 
 
 def _noise_bank(resolved: dict) -> NoiseBank:
-    if resolved["noise_dir"]:
+    """The --noise-dir clips, or the synthetic bank of --noise-seed. A
+    directory that gives no usable bank is a configuration error."""
+    if not resolved["noise_dir"]:
+        return synthetic_noise_bank(seed=resolved["noise_seed"])
+    try:
         return NoiseBank.from_dir(resolved["noise_dir"])
-    return synthetic_noise_bank(seed=resolved["noise_seed"])
+    except AudioError as exc:
+        raise CliConfigError(f"--noise-dir: {exc}") from exc
 
 
 _MODEL = ModelConfig()
@@ -319,7 +328,7 @@ def cmd_eval(resolved: dict, file_cfg: dict) -> int:
     snr_list = _parse_snr_tokens(resolved["snrs"])
     models = [load_checkpoint(path) for path in paths]
     items = load_dataset(resolved["data"], [resolved["split"]])[resolved["split"]]
-    bank = _noise_bank(resolved)
+    bank = None if all(math.isinf(snr) for snr in snr_list) else _noise_bank(resolved)
     tables, provenance = eval_per_snr(models, items, bank, snr_list=snr_list, seed=resolved["seed"])
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)

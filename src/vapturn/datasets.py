@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,18 +67,7 @@ def write_dataset(out_dir, n_items: int, script: DialogueScript, seed: int) -> d
             "n_frames": len(sd.stereo.vad_a),
             "segments_a": _segments(sd.stereo.vad_a.frames),
             "segments_b": _segments(sd.stereo.vad_b.frames),
-            "turns": [
-                {
-                    "user_start_s": t.user_start_s,
-                    "user_end_s": t.user_end_s,
-                    "robot_start_s": t.robot_start_s,
-                    "robot_end_s": t.robot_end_s,
-                    "has_final_cue": t.has_final_cue,
-                    "has_pause": t.has_pause,
-                    "has_continuation": t.has_continuation,
-                }
-                for t in sd.turns
-            ],
+            "turns": [asdict(t) for t in sd.turns],
             "seed": item_script.seed,
         }
         with open(out / f"{item_id}_labels.json", "w") as fh:

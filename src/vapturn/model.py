@@ -9,7 +9,7 @@ gradient checks are meaningful and runs are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -33,8 +33,8 @@ class NoTargetsError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Desk-scale architecture knobs; defaults keep a full-context forward pass
-    around a couple of milliseconds on CPU."""
+    """Desk-scale architecture knobs, each a count >= 1; defaults keep a
+    full-context forward pass around a couple of milliseconds on CPU."""
 
     model_dim: int = 32
     channel_layers: int = 1
@@ -44,9 +44,9 @@ class ModelConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
-        for name in ("model_dim", "channel_layers", "cross_layers", "heads", "context_frames", "ffn_mult"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if self.model_dim % self.heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
@@ -62,14 +62,7 @@ class ModelConfig:
         return self.context_frames * HOP_SAMPLES
 
     def to_json_dict(self) -> dict:
-        return {
-            "model_dim": self.model_dim,
-            "channel_layers": self.channel_layers,
-            "cross_layers": self.cross_layers,
-            "heads": self.heads,
-            "context_frames": self.context_frames,
-            "ffn_mult": self.ffn_mult,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":

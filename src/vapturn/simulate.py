@@ -12,7 +12,7 @@ measure when each endpointing policy would have let the robot respond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,33 +105,25 @@ class DialogueScript:
             raise ValueError("tail_s must be finite and >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_turns": self.n_turns,
-            "user_utterance_s": list(self.user_utterance_s),
-            "robot_utterance_s": list(self.robot_utterance_s),
-            "user_reaction_s": self.user_reaction_s.to_json_dict(),
-            "robot_reaction_s": self.robot_reaction_s.to_json_dict(),
-            "pause_before_end_s": self.pause_before_end_s.to_json_dict(),
-            "pause_prob": self.pause_prob,
-            "continuation_prob": self.continuation_prob,
-            "continuation_pause_s": self.continuation_pause_s.to_json_dict(),
-            "final_cue_prob": self.final_cue_prob,
-            "hold_cue_prob": self.hold_cue_prob,
-            "lead_in_s": list(self.lead_in_s),
-            "tail_s": self.tail_s,
-            "seed": self.seed,
-        }
+        """The fields as plain JSON: tuples as lists, SampleDists as objects."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DialogueScript":
-        d = dict(d)
-        for key in ("user_reaction_s", "robot_reaction_s", "pause_before_end_s", "continuation_pause_s"):
-            if key in d and isinstance(d[key], dict):
-                d[key] = SampleDist.from_json_dict(d[key])
-        for key in ("user_utterance_s", "robot_utterance_s", "lead_in_s"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        """Inverse of to_json_dict: a key whose field defaults to a tuple
+        takes its list as a tuple, one that defaults to a SampleDist takes
+        its object as one. An unknown key raises TypeError."""
+        default = cls()
+        kinds = {f.name: type(getattr(default, f.name)) for f in fields(default)}
+        return cls(**{k: _from_json(kinds.get(k), v) for k, v in d.items()})
+
+
+def _from_json(kind, value):
+    if kind is tuple:
+        return tuple(value)
+    if kind is SampleDist and isinstance(value, dict):
+        return SampleDist.from_json_dict(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -298,15 +290,8 @@ class ResponseTimeRecord:
     premature: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "turn": self.turn,
-            "robot_response_s": self.robot_response_s,
-            "source": self.source,
-            "decision_time_s": self.decision_time_s,
-            "true_end_time_s": self.true_end_time_s,
-            "latency_s": self.decision_time_s - self.true_end_time_s,
-            "premature": self.premature,
-        }
+        """The fields, plus latency_s: decision time minus true end."""
+        return {**asdict(self), "latency_s": self.decision_time_s - self.true_end_time_s}
 
 
 @dataclass(frozen=True)

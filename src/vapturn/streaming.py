@@ -59,8 +59,9 @@ _KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - _ALL_KINDS)[:, None] * HOP_SA
 _HISTORY = WINDOW_SAMPLES - HOP_SAMPLES
 # windows per replay forward call, and rows per replay frontend call. On a
 # 54 s recording (2-vCPU VM, 1 BLAS thread) 16 and 32 ran equally fast, 64 and
-# 128 5-10 % slower. At 32, replay's traced peak on a 54 s dialogue is 19.5 MB:
-# one block's prediction step or frontend work
+# 128 5-10 % slower. At 32, replay's traced peak (tracemalloc, after a warm-up
+# call) on a 54.55 s generated dialogue is 7.4 MB with no robot channel and
+# 8.3 MB with one: one block's prediction step or frontend work
 REPLAY_BLOCK = 32
 
 
@@ -198,7 +199,7 @@ class StreamContext:
 
     @property
     def samples_pending(self) -> int:
-        return self._end - self._start
+        return self._queue.shape[1] - _HISTORY
 
     def push_audio(self, chunk_a, chunk_b=None) -> None:
         """Queue new audio; the robot channel defaults to silence when omitted.
@@ -208,24 +209,8 @@ class StreamContext:
         """
         a, b = _channels(chunk_a, chunk_b)
         _check_finite(a, b)
-        n = a.size
-        if self._end + n > self._pending.shape[1]:
-            self._make_room(n)
-        self._pending[0, self._end : self._end + n] = a
-        self._pending[1, self._end : self._end + n] = 0.0 if b is None else b
-        self._end += n
-
-    def _make_room(self, n: int) -> None:
-        """Move the queued audio and the _HISTORY samples before it to the
-        front, doubling the buffer until n more samples fit behind them."""
-        kept = _HISTORY + self.samples_pending
-        size = self._pending.shape[1]
-        while kept + n > size:
-            size *= 2
-        target = self._pending if size == self._pending.shape[1] else np.empty((2, size))
-        target[:, :kept] = self._pending[:, self._start - _HISTORY : self._end]
-        self._pending = target
-        self._start, self._end = _HISTORY, kept
+        robot = np.zeros_like(a) if b is None else b
+        self._queue = np.concatenate((self._queue, [a, robot]), axis=1)
 
     @property
     def tick_due(self) -> bool:
@@ -239,10 +224,10 @@ class StreamContext:
         if not self.tick_due:
             return None
         t0 = time.perf_counter()
-        self._start += HOP_SAMPLES
         self.clock += 1
-        # the 400 ms frame of each channel ending at the hop just taken
-        frames = self._pending[:, self._start - WINDOW_SAMPLES : self._start]
+        # the 400 ms frame of each channel ending at the hop taken now
+        frames = self._queue[:, :WINDOW_SAMPLES]
+        self._queue = self._queue[:, HOP_SAMPLES:]
         for c in (0, 1):
             rows = _kind_rows(frames[c, None], _ALL_KINDS)
             self._rows[c, self.clock % self.cfg.context_frames] = rows
@@ -263,11 +248,9 @@ class StreamContext:
         ctx = self.cfg.context_frames
         # the rows of each channel's last ctx hops
         self._rows = np.broadcast_to(silent_features(1), (2, ctx, _KINDS, N_MELS)).copy()
-        # queued audio of both channels is _pending[:, _start:_end], after
-        # _HISTORY samples of the audio before it, zeros at the start
-        self._pending = np.zeros((2, _HISTORY + 2 * HOP_SAMPLES))
-        self._start = _HISTORY
-        self._end = _HISTORY
+        # the queued audio of both channels, after _HISTORY samples of the
+        # audio before it, zeros at the start
+        self._queue = np.zeros((2, _HISTORY))
         self.clock = 0
 
 

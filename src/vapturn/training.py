@@ -26,6 +26,8 @@ from .model import (
 from .noise import NoiseBank, TRAIN_SNRS_DB, Condition, apply_condition, check_snr, sample_condition
 
 CHECKPOINT_VERSION = 1
+# a history row: the epoch, then the train and the valid LossBreakdown in field
+# order (total, vap, vad), total as loss
 HISTORY_COLUMNS = (
     "epoch",
     "train_loss",
@@ -216,20 +218,9 @@ def fit(
     params = init_params(cfg, seed=seed)
     history = []
 
-    def epoch_row(epoch, train_bd, valid_bd):
-        return {
-            "epoch": epoch,
-            "train_loss": train_bd.total,
-            "train_vap": train_bd.vap,
-            "train_vad": train_bd.vad,
-            "valid_loss": valid_bd.total,
-            "valid_vap": valid_bd.vap,
-            "valid_vad": valid_bd.vad,
-        }
-
     valid_bd = _eval_loss(params, cfg, valid_frames)
     train_bd = _eval_loss(params, cfg, [frames for _, _, frames in prepared])
-    history.append(epoch_row(0, train_bd, valid_bd))
+    history.append(dict(zip(HISTORY_COLUMNS, (0, *train_bd, *valid_bd))))
     best = (valid_bd.total, clone_params(params))
     if log:
         log(f"epoch 0 valid_loss={valid_bd.total:.4f} vap={valid_bd.vap:.4f}")
@@ -261,7 +252,7 @@ def fit(
         valid_bd = _eval_loss(params, cfg, valid_frames)
         if not math.isfinite(valid_bd.total):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
-        history.append(epoch_row(epoch, train_bd, valid_bd))
+        history.append(dict(zip(HISTORY_COLUMNS, (epoch, *train_bd, *valid_bd))))
         if valid_bd.total < best[0]:
             best = (valid_bd.total, clone_params(params))
         if log:

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import shutil
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,30 @@ class TestSynthData:
 
     def test_missing_out_is_config_error(self):
         assert main(["synth-data", "--n", "5"]) == EXIT_CONFIG
+
+    def test_partial_script_object_keeps_the_script_defaults(self, tmp_path):
+        # the keys an object leaves out come from the script's own default
+        # (normal, 2.35 s), not from SampleDist's class defaults (lognormal, 0.6 s)
+        cfg_path = tmp_path / "script.json"
+        cfg_path.write_text(json.dumps({"script": {"user_reaction_s": {"std_s": 0.1}}}))
+        out = tmp_path / "data"
+        assert main(["synth-data", "--out", str(out), "--n", "10", "--turns", "1",
+                     "--config", str(cfg_path)]) == EXIT_OK
+        default = DialogueScript()
+        expected = replace(default, n_turns=1, user_reaction_s=replace(default.user_reaction_s, std_s=0.1))
+        assert json.loads((out / "config.json").read_text())["script"] == expected.to_json_dict()
+        assert asdict(expected.user_reaction_s) == {"family": "normal", "mean_s": 2.35, "std_s": 0.1}
+
+    @pytest.mark.parametrize("command", ["synth-data", "simulate"])
+    def test_script_seed_exits_2_naming_the_seed_flag(self, tmp_path, capsys, command):
+        # each dialogue's seed derives from --seed, so a script seed would be ignored
+        cfg_path = tmp_path / "script.json"
+        cfg_path.write_text(json.dumps({"script": {"seed": 12345}}))
+        out = tmp_path / "out"
+        extra = ["--policies", "stt"] if command == "simulate" else []
+        assert main([command, "--out", str(out), "--config", str(cfg_path), *extra]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -238,6 +263,42 @@ class TestEval:
         assert main([
             "eval", "--data", str(workspace["data"]), "--out", str(out), "--checkpoint", str(ckpt),
         ]) == EXIT_CONFIG
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("noise_dir", [None, "missing"])
+    def test_clean_rows_build_no_noise_bank(self, workspace, tmp_path, monkeypatch, noise_dir):
+        def no_bank(*args, **kwargs):
+            raise AssertionError("a noise bank was built for clean rows")
+
+        monkeypatch.setattr(cli, "synthetic_noise_bank", no_bank)
+        monkeypatch.setattr(cli.NoiseBank, "from_dir", no_bank)
+        out = tmp_path / "eval"
+        extra = [] if noise_dir is None else ["--noise-dir", str(tmp_path / noise_dir)]
+        assert main([
+            "eval", "--data", str(workspace["data"]), "--out", str(out), "--snrs", "clean",
+            "--checkpoint", str(workspace["run"] / "checkpoint.npz"), *extra,
+        ]) == EXIT_OK
+        assert [row[0] for row in csv.reader((out / "eval.csv").open())] == ["snr_db", "clean"]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("clips", ["none", "short"])
+    def test_noise_dir_without_usable_clip_exits_2_before_output(
+        self, workspace, tmp_path, capsys, command, clips
+    ):
+        noise_dir = tmp_path / "noise"
+        noise_dir.mkdir()
+        if clips == "short":
+            save_wav(Waveform(np.full(8000, 0.1)), noise_dir / "half_second.wav")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--mode", "mc", "--epochs", "1", "--quiet"],
+            "eval": ["--checkpoint", str(workspace["run"] / "checkpoint.npz")],
+        }[command]
+        assert main([
+            command, "--data", str(workspace["data"]), "--out", str(out), "--noise-dir", str(noise_dir), *argv,
+        ]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --noise-dir")
         assert not out.exists()
 
 

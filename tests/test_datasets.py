@@ -1,11 +1,12 @@
 import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-from vapturn import datasets
+from vapturn import datasets, simulate
 from vapturn.datasets import DatasetError, load_dataset, load_item, write_dataset
-from vapturn.simulate import DialogueScript, generate_scripted_dialogue
+from vapturn.simulate import DialogueScript, ScriptedTurn, generate_scripted_dialogue
 from vapturn.stats import SampleDist
 
 
@@ -19,6 +20,13 @@ def written(tmp_path_factory, script):
     out = tmp_path_factory.mktemp("corpus")
     manifest = write_dataset(out, 10, script, seed=4)
     return out, manifest
+
+
+@dataclass(frozen=True)
+class _ExtendedTurn(ScriptedTurn):
+    """A turn with one field more, as a new label adds."""
+
+    turn_type: str = "statement"
 
 
 class TestWriteDataset:
@@ -56,6 +64,13 @@ class TestWriteDataset:
         assert np.max(np.abs(loaded.stereo.channel_a.samples - regen.stereo.channel_a.samples)) <= 1 / 32768
         assert np.array_equal(loaded.stereo.vad_a.frames, regen.stereo.vad_a.frames)
         assert loaded.turns == regen.turns
+
+    @pytest.mark.parametrize("turn_class", [ScriptedTurn, _ExtendedTurn])
+    def test_label_turns_hold_every_turn_field(self, tmp_path, script, turn_class, monkeypatch):
+        monkeypatch.setattr(simulate, "ScriptedTurn", turn_class)
+        write_dataset(tmp_path, 10, script, seed=4)
+        labels = json.loads((tmp_path / "dlg0000_labels.json").read_text())
+        assert [sorted(turn) for turn in labels["turns"]] == [sorted(f.name for f in fields(turn_class))]
 
     def test_load_dataset_splits(self, written):
         out, _ = written

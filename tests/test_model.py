@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -25,6 +26,13 @@ from vapturn.model import (
     loss_from_logits,
     _forward,
 )
+
+
+@dataclass(frozen=True)
+class _ExtendedConfig(ModelConfig):
+    """A config with one field more, as a new architecture setting adds."""
+
+    adapter_layers: int = 2
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +89,16 @@ class TestConfig:
             ModelConfig(seed=9)
 
     def test_json_roundtrip(self):
-        cfg = ModelConfig(model_dim=16, heads=4)
-        assert ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        # every field is stored, in field order, a field a subclass adds too
+        for cfg in (ModelConfig(model_dim=16, heads=4), _ExtendedConfig(model_dim=16, heads=4, adapter_layers=3)):
+            stored = cfg.to_json_dict()
+            assert list(stored) == [f.name for f in fields(cfg)]
+            assert type(cfg).from_json_dict(stored) == cfg
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(_ExtendedConfig)])
+    def test_every_field_must_be_at_least_one(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            _ExtendedConfig(**{name: 0})
 
 
 class TestForward:

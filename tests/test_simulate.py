@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,20 @@ from vapturn.simulate import (
     summarize,
 )
 from vapturn.stats import SampleDist
+
+
+@dataclass(frozen=True)
+class _ExtendedScript(DialogueScript):
+    """A script with one field more, as a new dialogue setting adds."""
+
+    barge_in_s: tuple = (0.2, 0.5)
+
+
+@dataclass(frozen=True)
+class _ExtendedRecord(ResponseTimeRecord):
+    """A record with one field more, as a new per-turn field adds."""
+
+    interrupted: bool = False
 
 
 def energy_labels(samples, threshold_db: float):
@@ -141,6 +156,24 @@ class TestGeneration:
     def test_script_settings_reject_infinity(self, kwargs):
         with pytest.raises(ValueError):
             DialogueScript(**kwargs)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            DialogueScript(n_turns=2, user_reaction_s=SampleDist("uniform", 1.5, 0.4), lead_in_s=(0.5, 0.6), seed=3),
+            _ExtendedScript(n_turns=2, barge_in_s=(0.1, 0.3), seed=3),
+        ],
+    )
+    def test_script_json_roundtrip(self, script):
+        # plain JSON (tuples as lists, SampleDists as objects) of every
+        # field, a field a subclass adds too
+        stored = script.to_json_dict()
+        assert list(stored) == [f.name for f in fields(script)]
+        assert stored["lead_in_s"] == list(script.lead_in_s)
+        assert stored["user_reaction_s"] == asdict(script.user_reaction_s)
+        assert type(script).from_json_dict(stored) == script
+        with pytest.raises(TypeError):
+            DialogueScript.from_json_dict({**stored, "bogus_key": 1})
 
     def test_unknown_cue_rejected(self):
         with pytest.raises(ValueError):
@@ -283,6 +316,8 @@ class TestRunSession:
                 "premature",
             }
             assert d["latency_s"] == d["decision_time_s"] - d["true_end_time_s"]
+            # a field a subclass adds is written too
+            assert _ExtendedRecord(**asdict(rec), interrupted=True).to_json_dict() == {**d, "interrupted": True}
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -16,6 +16,7 @@ from vapturn.noise import Condition, apply_condition, synthetic_noise_bank
 from vapturn.simulate import DialogueScript, generate_scripted_dialogue, session_scripts
 from vapturn.stats import SampleDist
 from vapturn.training import (
+    HISTORY_COLUMNS,
     AugmentConfig,
     CheckpointError,
     EmptyDatasetError,
@@ -136,6 +137,8 @@ class TestFit:
         assert abs(history[0]["valid_vap"] - math.log(256)) <= 0.5
         assert history[-1]["valid_vap"] < history[0]["valid_vap"]
         assert len(history) == 4
+        assert [list(row) for row in history] == [list(HISTORY_COLUMNS)] * 4
+        assert [row["epoch"] for row in history] == [0, 1, 2, 3]
         assert all(math.isfinite(v) for row in history for v in row.values())
 
     def test_deterministic_history(self, corpus):

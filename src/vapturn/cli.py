@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -299,7 +299,9 @@ def cmd_train(resolved: dict, file_cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", params, cfg)
     write_history_csv(out / "history.csv", history)
-    _dump_json(resolved, out / "config.json")
+    # fit draws noise conditions only from a bank
+    unread = dict.fromkeys(["train_snrs", *NOISE_OPTIONS]) if bank is None else {}
+    _dump_json({**resolved, **unread}, out / "config.json")
     print(
         f"trained {resolved['mode']} model: valid_vap "
         f"{history[0]['valid_vap']:.3f} -> {history[-1]['valid_vap']:.3f} "
@@ -339,12 +341,13 @@ def cmd_eval(resolved: dict, file_cfg: dict) -> int:
             label = "clean" if math.isinf(snr) else f"{snr:g}"
             writer.writerow([label] + [f"{table[snr]:.6f}" for table in tables])
     write_conditions_jsonl(provenance, out / "conditions.jsonl")
-    _dump_json(resolved, out / "config.json")
+    unread = dict.fromkeys(NOISE_OPTIONS) if bank is None else {}
+    _dump_json({**resolved, **unread}, out / "config.json")
     print(f"wrote {out / 'eval.csv'} ({len(snr_list)} SNR rows x {len(names)} models)")
     return EXIT_OK
 
 
-_VAP = VapEndpointerConfig()
+VAP_OPTIONS = {key: Opt(value, type(value)) for key, value in asdict(VapEndpointerConfig()).items()}
 _STT = SttSimConfig()
 SIM_OPTIONS = {
     "out": Opt(required=True),
@@ -353,9 +356,7 @@ SIM_OPTIONS = {
     "n_dialogues": Opt(40, int),
     "turns": Opt(None, int),
     "seed": Opt(7, int),
-    "theta": Opt(_VAP.theta, float),
-    "consecutive_k": Opt(_VAP.consecutive_k, int),
-    "min_user_speech_ms": Opt(_VAP.min_user_speech_ms, float),
+    **VAP_OPTIONS,
     "stt_silence_ms": Opt(_STT.silence_threshold_ms, float),
     "latency_family": Opt(_STT.latency.family),
     "latency_mean": Opt(_STT.latency.mean_s, float),
@@ -374,12 +375,7 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
         raise CliConfigError(f"--n-dialogues must be >= 1, got {resolved['n_dialogues']}")
     if resolved["response_delay"] < 0:
         raise CliConfigError(f"--response-delay must be >= 0, got {resolved['response_delay']}")
-    vap_cfg = _config(
-        VapEndpointerConfig,
-        theta=resolved["theta"],
-        consecutive_k=resolved["consecutive_k"],
-        min_user_speech_ms=resolved["min_user_speech_ms"],
-    )
+    vap_cfg = _config(VapEndpointerConfig, **{key: resolved[key] for key in VAP_OPTIONS})
     latency = _config(
         SampleDist,
         family=resolved["latency_family"],

@@ -17,8 +17,8 @@ HOP_SAMPLES = SAMPLE_RATE // 10
 WINDOW_SAMPLES = 4 * HOP_SAMPLES
 N_MELS = 40
 LOG_FLOOR = 1e-10
-FRONTEND_BLOCK = 32  # frames per frontend product
-MIN_GEMM_ROWS = 8  # below this OpenBLAS rounds a product differently
+FRONTEND_BLOCK = 32  # frames per frontend call
+PRODUCT_ROWS = 4  # rows per filterbank product: the tick's 4 frames of one hop
 LEAD_FRAMES = WINDOW_SAMPLES // HOP_SAMPLES - 1  # frames that reach before the start
 
 
@@ -139,13 +139,9 @@ def extract_features(w) -> np.ndarray:
     for lag in range(1, LEAD_FRAMES + 1):
         sound[lag:] |= hop_sound[:-lag]
     rows = np.flatnonzero(sound)
-    if rows.size < MIN_GEMM_ROWS:
-        # silent frames fill the product up to MIN_GEMM_ROWS rows (or all
-        # frames), so the sounding rows keep the bits of the full product
-        rows = np.union1d(rows, np.flatnonzero(~sound)[: MIN_GEMM_ROWS - rows.size])
     out = silent_features(n).copy()
-    for start, end in _blocks(rows.size):
-        index = rows[start:end]
+    for start in range(0, rows.size, FRONTEND_BLOCK):
+        index = rows[start : start + FRONTEND_BLOCK]
         out[index] = _log_mel(hop_frames(samples, index))
     return out
 
@@ -157,33 +153,21 @@ def silent_features(n_frames: int) -> np.ndarray:
     return np.broadcast_to(np.log(LOG_FLOOR), (n_frames, N_MELS))
 
 
-def _blocks(n: int):
-    """[start, end) blocks of FRONTEND_BLOCK of n rows, so that frontend
-    memory does not grow with n. A last block of fewer than MIN_GEMM_ROWS
-    rows joins the one before it: OpenBLAS rounds a product of fewer rows
-    differently, and this way every row has the bits of one product over
-    all n rows."""
-    start = 0
-    while start < n:
-        end = start + FRONTEND_BLOCK
-        if n - end < MIN_GEMM_ROWS:
-            end = n
-        yield start, end
-        start = end
-
-
-def _frame_features(frames: np.ndarray) -> np.ndarray:
-    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame,
-    a block of _blocks at a time."""
-    out = np.empty((len(frames), N_MELS))
-    for start, end in _blocks(len(frames)):
-        out[start:end] = _log_mel(frames[start:end])
-    return out
-
-
 def _log_mel(frames: np.ndarray) -> np.ndarray:
-    """_frame_features of one block, as one product."""
+    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame.
+
+    The filterbank product is a stack of PRODUCT_ROWS-row products, zero rows
+    filling the last one. OpenBLAS rounds a product by its row count (1, 2-7
+    and 8 or more rows take different kernels), so with one row count for
+    every product a row has the bits of its frame computed alone, whatever
+    the batch or caller.
+    """
+    n = len(frames)
     spectrum = np.fft.rfft(frames * _window_fn(), axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
-    mel_power = power @ mel_filterbank().T
-    return np.log(np.maximum(mel_power, LOG_FLOOR))
+    n_bins = spectrum.shape[1]
+    power = np.empty((-(-n // PRODUCT_ROWS) * PRODUCT_ROWS, n_bins))
+    power[n:] = 0.0
+    np.square(spectrum.real, out=power[:n])
+    power[:n] += np.square(spectrum.imag)
+    mel_power = power.reshape(-1, PRODUCT_ROWS, n_bins) @ mel_filterbank().T
+    return np.log(np.maximum(mel_power.reshape(-1, N_MELS)[:n], LOG_FLOOR))

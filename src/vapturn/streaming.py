@@ -18,8 +18,10 @@ rows, which _kind_rows writes without the frontend. The deployed engine hears
 the user with the robot channel zeroed. When every robot feature a prediction
 step reads is silent, whatever the audio under it, the step reuses one stored
 encoding of the silent window. This is exact: the tick is bit-identical to
-computing the robot side in full, and replay stays within float rounding of
-run_stream.
+computing the robot side in full. A feature row has the bits of its frame
+computed alone, whatever the batch (see features._log_mel), so replay is
+bit-identical to run_stream, and every window the tick or replay feeds the
+model is extract_features of the zero-padded trailing window, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .features import (
     WINDOW_SAMPLES,
     NonFiniteAudioError,
     _check_finite,
-    _frame_features,
+    _log_mel,
     _samples,
     hop_frames,
     silent_features,
@@ -136,10 +138,10 @@ def _kind_rows(frames: np.ndarray, kinds: np.ndarray) -> np.ndarray:
     row, without the frontend, when frame i holds no nonzero sample."""
     sound = frames.any(axis=1)
     if sound.all():
-        return _frame_features(np.where(_KEEP[kinds], frames, 0.0))
+        return _log_mel(np.where(_KEEP[kinds], frames, 0.0))
     rows = silent_features(len(kinds)).copy()
     if sound.any():
-        rows[sound] = _frame_features(np.where(_KEEP[kinds[sound]], frames[sound], 0.0))
+        rows[sound] = _log_mel(np.where(_KEEP[kinds[sound]], frames[sound], 0.0))
     return rows
 
 
@@ -319,8 +321,8 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> lis
     ticks, an increasing sequence of 1-based tick indices, selects the ticks
     to compute; None means every one. ValueError, before any work, for a
     tick outside 1..len(wav_a) // HOP_SAMPLES or ticks not strictly
-    increasing. Results match run_stream within float rounding (tested to
-    1e-9), whatever ticks selects. Each block of REPLAY_BLOCK requested
+    increasing. Results equal run_stream's on every field but compute_ms,
+    bit for bit, whatever ticks selects. Each block of REPLAY_BLOCK requested
     windows takes the tick's prediction step (_predict) over rows built by
     the tick's _kind_rows (see _replay_rows). A block whose robot windows are
     all silent, as every block is when wav_b is None, shares one encoding of

@@ -1,6 +1,19 @@
+import os
 import tracemalloc
 
+import numpy as np
 import pytest
+
+
+def pytest_report_header(config):
+    """The BLAS numpy calls and its thread setting: the frontend's bit-exact
+    tests pin how this BLAS rounds a product (see features._log_mel)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [
+        f"blas: {blas.get('name')} {blas.get('version')}",
+        f"blas build configuration: {blas.get('openblas configuration')}",
+        f"OPENBLAS_NUM_THREADS: {os.environ.get('OPENBLAS_NUM_THREADS')}",
+    ]
 
 
 def _trace(fn) -> tuple[int, int]:

@@ -142,6 +142,18 @@ class TestTrain:
         )
         assert diff
 
+    def test_clean_mode_records_no_noise_options(self, workspace, tmp_path):
+        # fit draws noise conditions only from a bank, and clean mode builds none
+        out = tmp_path / "clean_run"
+        assert main([
+            "train", "--data", str(workspace["data"]), "--out", str(out), "--mode", "clean",
+            "--epochs", "1", "--noise-seed", "5", "--train-snrs", "clean,5", "--quiet",
+        ]) == EXIT_OK
+        keys = ("noise_dir", "noise_seed", "train_snrs")
+        assert {key: json.loads((out / "config.json").read_text())[key] for key in keys} == dict.fromkeys(keys)
+        mc = json.loads((workspace["run"] / "config.json").read_text())
+        assert (mc["noise_seed"], mc["train_snrs"]) == (0, "clean,5,10,15,20")
+
     def test_missing_dataset_runtime_error(self, tmp_path):
         assert main([
             "train", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "r"),
@@ -280,6 +292,16 @@ class TestEval:
             "--checkpoint", str(workspace["run"] / "checkpoint.npz"), *extra,
         ]) == EXIT_OK
         assert [row[0] for row in csv.reader((out / "eval.csv").open())] == ["snr_db", "clean"]
+
+    def test_clean_rows_record_no_noise_options(self, workspace, tmp_path):
+        # like simulate's unloaded checkpoint, options no run read are null
+        argv = ["eval", "--data", str(workspace["data"]), "--noise-seed", "5",
+                "--checkpoint", str(workspace["run"] / "checkpoint.npz")]
+        for snrs, noise in (("clean", (None, None)), ("clean,5", (None, 5))):
+            out = tmp_path / snrs
+            assert main([*argv, "--out", str(out), "--snrs", snrs]) == EXIT_OK
+            config = json.loads((out / "config.json").read_text())
+            assert (config["noise_dir"], config["noise_seed"]) == noise
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("clips", ["none", "short"])

@@ -10,7 +10,6 @@ from vapturn.endpointing import FRAME_MS
 from vapturn.features import (
     HOP_SAMPLES,
     LOG_FLOOR,
-    MIN_GEMM_ROWS,
     N_MELS,
     WINDOW_SAMPLES,
     NonFiniteAudioError,
@@ -133,25 +132,56 @@ def _one_product_features(samples):
     return np.log(np.maximum(power @ mel_filterbank().T, LOG_FLOOR))
 
 
-def test_blocked_frontend_keeps_the_bits_of_one_product():
+def _frame_by_frame_features(samples):
+    """The frontend run on each frame alone."""
+    frames = hop_frames(samples, np.arange(feature_frame_count(samples.size)))
+    return np.array([features._log_mel(frame[None])[0] for frame in frames]).reshape(-1, N_MELS)
+
+
+# how far the 4-row products may round from one product over all frames;
+# with OpenBLAS 0.3.31 on SkylakeX kernels the largest gap seen is 3.6e-15
+ONE_PRODUCT_BOUND = 1e-13
+
+
+def _assert_frontend_bits(samples, got):
+    assert got.shape == (feature_frame_count(samples.size), N_MELS)
+    assert got.tobytes() == _frame_by_frame_features(samples).tobytes()
+    assert np.abs(got - _one_product_features(samples)).max(initial=0.0) <= ONE_PRODUCT_BOUND
+
+
+def test_log_mel_rows_do_not_depend_on_the_batch():
+    # the rule the frontend rests on: a row of _log_mel has the bits of its
+    # frame computed alone, whatever the batch size and the row's place in it
+    rng = np.random.default_rng(16)
+    frames = 0.1 * rng.standard_normal((40, WINDOW_SAMPLES))
+    frames[5, : 3 * HOP_SAMPLES] = 0.0  # a frame that sounds in its last hop only
+    alone = np.array([features._log_mel(frame[None])[0] for frame in frames])
+    for n in range(1, 41):
+        assert features._log_mel(frames[:n]).tobytes() == alone[:n].tobytes(), n
+        order = rng.permutation(n)
+        assert features._log_mel(frames[order]).tobytes() == alone[order].tobytes(), n
+
+
+def test_blocked_frontend_keeps_the_bits_of_each_frame_alone():
     rng = np.random.default_rng(12)
     counts = list(range(81)) + [32 * k + r for k in (3, 4, 9) for r in range(1, 8)]
     for n_frames in counts:
         samples = 0.1 * rng.standard_normal(n_frames * HOP_SAMPLES + int(rng.integers(HOP_SAMPLES)))
         samples[: 2 * HOP_SAMPLES] = 0.0  # rows at the log floor too
-        got = extract_features(samples)
-        assert got.shape == (n_frames, N_MELS)
-        assert got.tobytes() == _one_product_features(samples).tobytes(), n_frames
+        _assert_frontend_bits(samples, extract_features(samples))
 
 
 def test_frontend_skips_frames_without_sound(monkeypatch):
     # a frame with no nonzero sample gets the silent row without the
-    # frontend, and every row keeps the bits of one product over all frames;
-    # with fewer than MIN_GEMM_ROWS sounding frames, silent frames fill the
-    # product up to that many rows
-    rows = []
+    # frontend, which gets exactly the frames with sound
+    calls = []
     log_mel = features._log_mel
-    monkeypatch.setattr(features, "_log_mel", lambda frames: rows.append(len(frames)) or log_mel(frames))
+
+    def record(frames):
+        calls.append(np.array(frames))
+        return log_mel(frames)
+
+    monkeypatch.setattr(features, "_log_mel", record)
     rng = np.random.default_rng(14)
     for _ in range(60):
         n_frames = int(rng.integers(1, 120))
@@ -161,12 +191,12 @@ def test_frontend_skips_frames_without_sound(monkeypatch):
             burst = samples[start : start + int(rng.integers(1, 3 * HOP_SAMPLES))]
             burst[:] = 0.1 * rng.standard_normal(burst.size)
         hops = samples.reshape(n_frames, HOP_SAMPLES).any(axis=1)
-        sounding = sum(hops[max(0, t - 3) : t + 1].any() for t in range(n_frames))
-        rows.clear()
+        sounding = [t for t in range(n_frames) if hops[max(0, t - 3) : t + 1].any()]
+        calls.clear()
         got = extract_features(samples)
-        assert got.tobytes() == _one_product_features(samples).tobytes()
-        assert sum(rows) == max(sounding, min(n_frames, MIN_GEMM_ROWS))
-        assert min(rows, default=MIN_GEMM_ROWS) >= min(n_frames, MIN_GEMM_ROWS)
+        frontend_frames = np.concatenate([np.empty((0, WINDOW_SAMPLES))] + calls)
+        assert np.array_equal(frontend_frames, hop_frames(samples, sounding))
+        _assert_frontend_bits(samples, got)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

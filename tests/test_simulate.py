@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
+from vapturn import simulate
+from vapturn.audio import SAMPLES_PER_LABEL_FRAME
 from vapturn.endpointing import SOURCE_STT, SOURCE_VAP, SttSimConfig, VapEndpointerConfig
 from vapturn.model import ModelConfig, init_params
 from vapturn.simulate import (
@@ -64,6 +66,39 @@ class TestGeneration:
         assert np.array_equal(a.stereo.channel_a.samples, b.stereo.channel_a.samples)
         assert np.array_equal(a.stereo.vad_a.frames, b.stereo.vad_a.frames)
         assert a.turns == b.turns
+
+    def test_hold_cue_changes_only_the_closing_burst_of_held_groups(self, monkeypatch):
+        # the hold cue is drawn for every continued turn and a cued burst
+        # takes the same draws, so at one seed the timing does not change
+        cues = []
+        render = simulate.render_burst
+
+        def record(duration_s, rng, tilt, cue="none"):
+            cues.append(cue)
+            return render(duration_s, rng, tilt, cue=cue)
+
+        monkeypatch.setattr(simulate, "render_burst", record)
+        script = DialogueScript(n_turns=6, continuation_prob=1.0, seed=11)
+        off = generate_scripted_dialogue(script)
+        cues.clear()
+        on = generate_scripted_dialogue(replace(script, hold_cue_prob=1.0))
+        assert on.turns == off.turns
+        assert all(turn.has_continuation for turn in on.turns)
+        for name in ("vad_a", "vad_b"):
+            assert np.array_equal(getattr(on.stereo, name).frames, getattr(off.stereo, name).frames)
+        assert np.array_equal(on.stereo.channel_b.samples, off.stereo.channel_b.samples)
+        # user bursts are rendered first, in time order, one per label run
+        labels = np.r_[False, on.stereo.vad_a.frames, False]
+        edges = np.flatnonzero(np.diff(labels.astype(np.int8))).reshape(-1, 2) * SAMPLES_PER_LABEL_FRAME
+        assert len(cues) == len(edges) + len(on.turns)  # one robot burst per turn
+        user_cues = cues[: len(edges)]
+        assert user_cues.count("hold") == len(on.turns)
+        differs = on.stereo.channel_a.samples != off.stereo.channel_a.samples
+        held = np.zeros_like(differs)
+        for (start, end), cue in zip(edges, user_cues):
+            held[start:end] = cue == "hold"
+            assert differs[start:end].any() == (cue == "hold")
+        assert not (differs & ~held).any()
 
     def test_labels_consistent_with_energy_vad(self, dialogue):
         # generated labels must agree with an energy detector on the clean channel

@@ -350,7 +350,7 @@ class TestSilentRobot:
         for r, s in zip(replayed, full):
             assert r.frame_index == s.frame_index
             for field in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
-                assert abs(getattr(r, field) - getattr(s, field)) <= 1e-9, field
+                assert getattr(r, field) == getattr(s, field), field
 
     def test_replay_missing_robot_equals_zeros_bit_for_bit(self, cfg):
         params = _trained_like_params(cfg, seed=9)
@@ -379,7 +379,7 @@ class TestSilentRobot:
         for r, s in zip(replayed, streamed):
             assert r.frame_index == s.frame_index
             for field in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
-                assert abs(getattr(r, field) - getattr(s, field)) <= 1e-9, field
+                assert getattr(r, field) == getattr(s, field), field
 
     def test_replay_encodes_silent_robot_once(self, params, cfg, monkeypatch):
         audio = _audio(4.0, seed=23)
@@ -524,7 +524,7 @@ class TestReplay:
         for r, s in zip(replayed, streamed):
             assert (r.frame_index, r.timestamp_s) == (s.frame_index, s.timestamp_s)
             for name in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
-                assert abs(getattr(r, name) - getattr(s, name)) <= 1e-9, name
+                assert getattr(r, name) == getattr(s, name), name
             assert r.compute_ms >= 0.0
 
     @settings(max_examples=10, deadline=None)
@@ -571,7 +571,7 @@ class TestReplayTicks:
                 tick * streaming.TICK_PERIOD_S,
             )
             for name in ("p_now_user", "p_now_robot", "vad_user", "vad_robot", "vap_entropy"):
-                assert abs(getattr(r, name) - getattr(f, name)) <= 1e-12, name
+                assert getattr(r, name) == getattr(f, name), name
         assert replay(params, cfg, audio_a, audio_b, ticks=[]) == []
 
     @pytest.mark.parametrize("ticks", [[0], [1, 0], [41], [1, 41], [3, 2], [2, 2], [1.0], [[1]]])
@@ -580,7 +580,7 @@ class TestReplayTicks:
             raise AssertionError("rows computed before the ticks were checked")
 
         monkeypatch.setattr(streaming, "extract_features", no_work)
-        monkeypatch.setattr(streaming, "_frame_features", no_work)
+        monkeypatch.setattr(streaming, "_log_mel", no_work)
         monkeypatch.setattr(streaming, "forward_last", no_work)
         audio = _audio(4.0, seed=28)  # 40 ticks
         with pytest.raises(ValueError, match="ticks"):
@@ -591,14 +591,14 @@ def _record_frontend(monkeypatch) -> list:
     """Record the frames of each frontend call, in streaming or through
     extract_features."""
     calls = []
-    frame_features = features._frame_features
+    log_mel = features._log_mel
 
     def record(frames):
         calls.append(np.array(frames))
-        return frame_features(frames)
+        return log_mel(frames)
 
-    monkeypatch.setattr(features, "_frame_features", record)
-    monkeypatch.setattr(streaming, "_frame_features", record)
+    monkeypatch.setattr(features, "_log_mel", record)
+    monkeypatch.setattr(streaming, "_log_mel", record)
     return calls
 
 
@@ -660,7 +660,7 @@ def _record_model_inputs(monkeypatch) -> tuple[list, list]:
 
 class TestWindowRule:
     """Every window the tick and replay feed the model is extract_features of
-    the zero-padded trailing context window."""
+    the zero-padded trailing context window, bit for bit."""
 
     @pytest.mark.parametrize("robot", ["silent", "burst"])
     @pytest.mark.parametrize("context_frames", [1, 3, 4, 6, 50])
@@ -687,7 +687,7 @@ class TestWindowRule:
             windows = np.concatenate(user)
             assert len(windows) == 80
             for tick, window in enumerate(windows, start=1):
-                assert np.abs(window - oracle("a", tick)).max() <= 1e-12
+                assert window.tobytes() == oracle("a", tick).tobytes()
             # robot windows encoded after i forward_last calls start at tick
             # i * block + 1; a tick with none reuses the silent encoding, so
             # its robot window must be all zeros
@@ -695,7 +695,7 @@ class TestWindowRule:
             encoded = set()
             for calls_before, feats in robot_calls:
                 for tick, window in enumerate(feats, start=calls_before * block + 1):
-                    assert np.abs(window - oracle("b", tick)).max() <= 1e-12
+                    assert window.tobytes() == oracle("b", tick).tobytes()
                     encoded.add(tick)
             for tick in set(range(1, 81)) - encoded:
                 assert not padded["b"][tick * HOP_SAMPLES : tick * HOP_SAMPLES + cap].any()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import LABEL_FRAME_RATE, StereoDialogue, VadTrack, load_wav, save_wav
+from .audio import LABEL_FRAME_RATE, VadTrack, load_wav, save_wav
 from .noise import split_dataset
 from .simulate import (
     DialogueScript,
@@ -85,20 +85,22 @@ def write_dataset(out_dir, n_items: int, script: DialogueScript, seed: int) -> d
 
 
 def load_item(data_dir, item_id: str) -> ScriptedDialogue:
+    """One written dialogue, its channels already read. AudioError when the
+    channels and label tracks disagree in length."""
     base = Path(data_dir)
     user = load_wav(base / f"{item_id}_user.wav")
     robot = load_wav(base / f"{item_id}_robot.wav")
     with open(base / f"{item_id}_labels.json") as fh:
         labels = json.load(fh)
     n_frames = labels["n_frames"]
-    stereo = StereoDialogue(
-        channel_a=user,
-        channel_b=robot,
+    return ScriptedDialogue(
+        turns=tuple(ScriptedTurn(**t) for t in labels["turns"]),
+        seed=labels["seed"],
+        n_samples=len(user),
         vad_a=VadTrack(_frames_from_segments(labels["segments_a"], n_frames)),
         vad_b=VadTrack(_frames_from_segments(labels["segments_b"], n_frames)),
+        channels=(user, robot),
     )
-    turns = tuple(ScriptedTurn(**t) for t in labels["turns"])
-    return ScriptedDialogue(stereo=stereo, turns=turns, seed=labels["seed"])
 
 
 class Split(Sequence):

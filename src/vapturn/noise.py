@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, AudioError, Waveform, load_wav, mean_power
+from .audio import SAMPLE_RATE, AudioError, Waveform, load_wav, mean_power, mean_square
 
 CLEAN = math.inf
 DEFAULT_SNRS_DB = (5.0, 10.0, 15.0, 20.0)
@@ -121,7 +121,7 @@ def mix_at_snr(
     if p_sig == 0.0:
         raise SilentAudioError("signal is silent; SNR undefined")
     mixed = tile_to_length(noise, len(signal), rng)
-    p_noise = float(np.mean(mixed**2))
+    p_noise = mean_square(mixed)
     if p_noise == 0.0:
         raise SilentAudioError("noise is silent; SNR undefined")
     gain = math.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
@@ -130,7 +130,7 @@ def mix_at_snr(
     mixed += signal.samples
     clipped = int(np.count_nonzero(mixed > 1.0)) + int(np.count_nonzero(mixed < -1.0))
     np.clip(mixed, -1.0, 1.0, out=mixed)
-    return Waveform(mixed), clipped
+    return Waveform.adopt(mixed), clipped
 
 
 def sample_condition(
@@ -189,13 +189,21 @@ def write_conditions_jsonl(records, path) -> None:
 
 def shape_noise(white: np.ndarray, tilt_db_per_octave: float) -> np.ndarray:
     """Apply a spectral tilt (dB per octave around 1 kHz) and peak-normalize."""
+    return shape_noises(white, (tilt_db_per_octave,))[0]
+
+
+def shape_noises(white: np.ndarray, tilts_db_per_octave) -> list:
+    """shape_noise of white at each tilt, with one spectrum and one octave
+    axis for all of them."""
     spectrum = np.fft.rfft(white)
     freqs = np.fft.rfftfreq(white.size, d=1.0 / SAMPLE_RATE)
     freqs[0] = freqs[1]
     octaves = np.log2(freqs / 1000.0)
-    spectrum *= 10.0 ** (tilt_db_per_octave * octaves / 20.0)
-    shaped = np.fft.irfft(spectrum, n=white.size)
-    return shaped / (np.abs(shaped).max() + 1e-12)
+    out = []
+    for tilt in tilts_db_per_octave:
+        shaped = np.fft.irfft(spectrum * 10.0 ** (tilt * octaves / 20.0), n=white.size)
+        out.append(shaped / (np.abs(shaped).max() + 1e-12))
+    return out
 
 
 def synthetic_noise_bank(seed: int = 0, duration_s: float = 5.0) -> NoiseBank:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property, partial
 
 import numpy as np
 
 from .audio import (
     LABEL_FRAME_RATE,
     SAMPLE_RATE,
+    AudioError,
     StereoDialogue,
     VadTrack,
     Waveform,
@@ -34,7 +36,7 @@ from .endpointing import (
 )
 from .features import HOP_SAMPLES
 from .model import ModelConfig
-from .noise import apply_condition, shape_noise  # noqa: F401
+from .noise import apply_condition, shape_noise, shape_noises  # noqa: F401
 from .stats import SampleDist, describe, histogram_fixed, rank_sum_test
 
 # run_stream and apply_condition are not called here; they stay importable as
@@ -139,17 +141,54 @@ class ScriptedTurn:
     has_continuation: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScriptedDialogue:
-    """A rendered dialogue plus the exact turn timeline it was built from."""
+    """A dialogue's exact turn timeline and label tracks, with its two
+    channels rendered on first read.
 
-    stereo: StereoDialogue
+    ``channels`` holds the user's and the robot's channel, each a Waveform
+    or a function of no arguments that renders it. ``user`` is the user
+    channel. ``stereo`` pairs it with the robot channel, rendered after the
+    user's (generate_scripted_dialogue's functions draw from one generator
+    in that order), as a StereoDialogue. Each is made once, on first read.
+    The turns, the label tracks, ``n_samples`` and ``duration_s`` render
+    nothing. AudioError when a label track or a given Waveform does not
+    match ``n_samples``.
+    """
+
     turns: tuple
     seed: int
+    n_samples: int
+    vad_a: VadTrack
+    vad_b: VadTrack
+    channels: tuple = field(repr=False)
+
+    def __post_init__(self):
+        expect = label_frame_count(self.n_samples)
+        for name, track in (("vad_a", self.vad_a), ("vad_b", self.vad_b)):
+            if len(track) != expect:
+                raise AudioError(f"{name} has {len(track)} frames, expected {expect}")
+        for channel in self.channels:
+            if isinstance(channel, Waveform) and len(channel) != self.n_samples:
+                raise AudioError(f"channel has {len(channel)} samples, expected {self.n_samples}")
 
     @property
     def duration_s(self) -> float:
-        return self.stereo.duration_s
+        return self.n_samples / SAMPLE_RATE
+
+    @cached_property
+    def user(self) -> Waveform:
+        return _realized(self.channels[0])
+
+    @cached_property
+    def stereo(self) -> StereoDialogue:
+        user = self.user  # first: the robot channel's draws follow the user's
+        robot = _realized(self.channels[1])
+        return StereoDialogue(channel_a=user, channel_b=robot, vad_a=self.vad_a, vad_b=self.vad_b)
+
+
+def _realized(channel) -> Waveform:
+    return channel if isinstance(channel, Waveform) else channel()
 
 
 def render_burst(
@@ -171,13 +210,15 @@ def render_burst(
     if n == 0:
         return np.zeros(0)
     white = rng.standard_normal(max(n, 32))
-    x = shape_noise(white, tilt_db_per_octave)[:n]
-    if cue != "none":
+    if cue == "none":
+        x = shape_noise(white, tilt_db_per_octave)[:n]
+    else:
         cue_s, cue_tilt = (
             (FINAL_CUE_S, FINAL_CUE_TILT_DB) if cue == "final" else (HOLD_CUE_S, HOLD_CUE_TILT_DB)
         )
         span = min(int(cue_s * SAMPLE_RATE), n)
-        shifted = shape_noise(white, tilt_db_per_octave + cue_tilt)[:n]
+        tilts = (tilt_db_per_octave, tilt_db_per_octave + cue_tilt)
+        x, shifted = (y[:n] for y in shape_noises(white, tilts))
         blend = np.linspace(0.0, 1.0, span)
         x[-span:] = (1.0 - blend) * x[-span:] + blend * shifted[-span:]
     t = np.arange(n) / SAMPLE_RATE
@@ -201,7 +242,14 @@ def render_burst(
 
 
 def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
-    """Alternating user/robot turns with exact 10 ms-grid labels."""
+    """Alternating user/robot turns with exact 10 ms-grid labels.
+
+    Draws the timeline (turns, speech segments, both label tracks and the
+    length) and returns it with the channels unrendered: the user channel
+    is rendered from the generator state the timeline leaves when
+    ``user`` or ``stereo`` is first read, the robot channel from the state
+    after it when ``stereo`` is. The samples do not depend on which is read
+    first or whether ``user`` was read at all."""
     rng = np.random.default_rng(script.seed)
     user_segments = []  # (start_s, dur_s, closing cue)
     robot_segments = []
@@ -255,26 +303,36 @@ def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
         t = _grid(robot_end + max(0.1, script.user_reaction_s.sample(rng)))
     total_s = _grid((turns[-1].robot_end_s if turns else 0.0) + script.tail_s)
     n = int(round(total_s * SAMPLE_RATE))
-    channels = []
-    for segments, tilt in (
-        (user_segments, USER_TILT_DB_PER_OCTAVE),
-        (robot_segments, ROBOT_TILT_DB_PER_OCTAVE),
-    ):
-        chan = np.zeros(n)
-        lab = np.zeros(label_frame_count(n), dtype=bool)
-        for start_s, dur_s, cue in segments:
-            burst = render_burst(dur_s, rng, tilt, cue=cue)
-            i0 = int(round(start_s * SAMPLE_RATE))
-            chan[i0 : i0 + burst.size] = burst[: max(0, n - i0)]
-            f0 = int(round(start_s * LABEL_FRAME_RATE))
-            f1 = int(round((start_s + dur_s) * LABEL_FRAME_RATE))
-            lab[f0:f1] = True
-        # wrapped at once, so only one channel's raw buffer is ever alive
-        channels.append((Waveform(chan), VadTrack(lab)))
-        del chan
-    (wav_a, vad_a), (wav_b, vad_b) = channels
-    stereo = StereoDialogue(channel_a=wav_a, channel_b=wav_b, vad_a=vad_a, vad_b=vad_b)
-    return ScriptedDialogue(stereo=stereo, turns=tuple(turns), seed=script.seed)
+    return ScriptedDialogue(
+        turns=tuple(turns),
+        seed=script.seed,
+        n_samples=n,
+        vad_a=_label_track(user_segments, n),
+        vad_b=_label_track(robot_segments, n),
+        channels=(
+            partial(_render_channel, user_segments, n, rng, USER_TILT_DB_PER_OCTAVE),
+            partial(_render_channel, robot_segments, n, rng, ROBOT_TILT_DB_PER_OCTAVE),
+        ),
+    )
+
+
+def _label_track(segments, n: int) -> VadTrack:
+    lab = np.zeros(label_frame_count(n), dtype=bool)
+    for start_s, dur_s, _ in segments:
+        f0 = int(round(start_s * LABEL_FRAME_RATE))
+        f1 = int(round((start_s + dur_s) * LABEL_FRAME_RATE))
+        lab[f0:f1] = True
+    return VadTrack(lab)
+
+
+def _render_channel(segments, n: int, rng: np.random.Generator, tilt: float) -> Waveform:
+    """n samples holding one burst per (start, duration, cue) segment."""
+    chan = np.zeros(n)
+    for start_s, dur_s, cue in segments:
+        burst = render_burst(dur_s, rng, tilt, cue=cue)
+        i0 = int(round(start_s * SAMPLE_RATE))
+        chan[i0 : i0 + burst.size] = burst[: max(0, n - i0)]
+    return Waveform.adopt(chan)
 
 
 @dataclass(frozen=True)
@@ -337,7 +395,7 @@ def _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed) -> list:
     for k, turn in enumerate(dialogue.turns):
         window_start, window_end = _turn_window(dialogue, k)
         turn_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        stt_slice = _slice_vad(dialogue.stereo.vad_a, window_start, window_end)
+        stt_slice = _slice_vad(dialogue.vad_a, window_start, window_end)
         stt_t = window_start + stt_decide(stt_slice, stt_cfg, turn_rng)
         vap_t = None
         if frames is not None:
@@ -363,7 +421,7 @@ def _race_ticks(dialogue, stt_records) -> np.ndarray:
     detector), which the hybrid race at the same seed draws again. The
     detector is causal and a later firing loses to the cloud, so the race
     decides every turn as it would on every tick."""
-    t = np.arange(1, dialogue.stereo.channel_a.samples.size // HOP_SAMPLES + 1) * TICK_PERIOD_S
+    t = np.arange(1, dialogue.n_samples // HOP_SAMPLES + 1) * TICK_PERIOD_S
     used = np.zeros(t.size, dtype=bool)
     for k, record in enumerate(stt_records):
         start, end = _turn_window(dialogue, k)
@@ -390,7 +448,10 @@ def run_session(
     'hybrid' records race the local detector against the same cloud
     decision (drawn from the same seeded stream), and the 'vap' records are
     the hybrid turns the local detector decided. Without params
-    only 'stt' is returned and nothing is replayed. The robot onset is
+    only 'stt' is returned and nothing is replayed. The dialogue's turns,
+    user labels and sample count are read; its user channel only to
+    replay, and its robot channel never, so a generated dialogue renders
+    no audio without params and no robot audio with them. The robot onset is
     decision + response_delay_s, and the response gap is measured from the
     labeled true end of the turn (floored at zero; decisions before the true
     end are flagged premature).
@@ -403,7 +464,7 @@ def run_session(
     if params is None:
         return {"stt": stt}
     ticks = _race_ticks(dialogue, stt)
-    frames = replay(params, model_cfg, dialogue.stereo.channel_a, ticks=ticks)
+    frames = replay(params, model_cfg, dialogue.user, ticks=ticks)
     hybrid = _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed)
     return {"stt": stt, "hybrid": hybrid, "vap": [r for r in hybrid if r.source == SOURCE_VAP]}
 

@@ -1,4 +1,6 @@
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from vapturn.audio import (
     label_frame_count,
     load_wav,
     mean_power,
+    mean_square,
     save_wav,
 )
 
@@ -31,6 +34,26 @@ def test_waveform_is_immutable():
     w = Waveform(np.zeros(4))
     with pytest.raises(ValueError):
         w.samples[0] = 1.0
+
+
+class TestAdopt:
+    def test_keeps_the_array_it_is_handed(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        w = Waveform.adopt(x)
+        assert w.samples is x
+        with pytest.raises(ValueError):
+            w.samples[0] = 0.0
+
+    def test_checks_as_the_constructor_does(self):
+        for bad in (np.zeros((2, 2)), np.array([0.0, np.nan]), np.array([np.inf]), np.array([0.0, -1.5])):
+            with pytest.raises(AudioError):
+                Waveform.adopt(bad)
+
+    def test_clips_rounding_overshoot_in_place(self):
+        x = np.array([0.5, 1.0 + 1e-12, -1.0 - 1e-12])
+        w = Waveform.adopt(x)
+        assert w.samples is x
+        assert x.tolist() == [0.5, 1.0, -1.0]
 
 
 class TestWavIO:
@@ -127,6 +150,14 @@ class TestWavIO:
         with pytest.raises(UnsupportedEncodingError):
             load_wav(path)
 
+    def test_memory_peak_is_the_samples_and_the_file_bytes(self, tmp_path, traced_peak_bytes):
+        # the float samples are scaled in place and kept, with no copy:
+        # 8 bytes per sample plus the 2 of the PCM bytes read
+        path = tmp_path / "long.wav"
+        save_wav(Waveform(0.3 * np.sin(np.arange(30 * 16000) / 7.0)), path)
+        kept = 30 * 16000 * 8
+        assert traced_peak_bytes(lambda: load_wav(path)) < 1.5 * kept
+
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"this is not RIFF data")
@@ -158,6 +189,26 @@ class TestPower:
         p1 = mean_power(Waveform(x))
         pk = mean_power(Waveform(k * x))
         assert pk == pytest.approx(k * k * p1, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 7, 129, 65536, 65537, 131081, 480000, 1_000_003])
+def test_mean_square_has_the_bits_of_numpy_mean(n):
+    x = np.random.default_rng(n).standard_normal(n) * 0.3
+    assert mean_square(x) == float(np.mean(x**2))
+
+
+def test_mean_square_keeps_no_reference_to_its_input():
+    # a reference cycle would hold each mixture until the garbage collector
+    # ran, and training's memory grew by a mixture per noisy window
+    x = np.random.default_rng(0).standard_normal(200_000)
+    ref = weakref.ref(x)
+    gc.disable()
+    try:
+        mean_square(x)
+        del x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_sample_rate_written_once_in_src():

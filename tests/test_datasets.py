@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vapturn import datasets, simulate
+from vapturn.audio import AudioError
 from vapturn.datasets import DatasetError, load_dataset, load_item, write_dataset
 from vapturn.simulate import DialogueScript, ScriptedTurn, generate_scripted_dialogue
 from vapturn.stats import SampleDist
@@ -64,6 +65,14 @@ class TestWriteDataset:
         assert np.max(np.abs(loaded.stereo.channel_a.samples - regen.stereo.channel_a.samples)) <= 1 / 32768
         assert np.array_equal(loaded.stereo.vad_a.frames, regen.stereo.vad_a.frames)
         assert loaded.turns == regen.turns
+
+    def test_labels_of_another_length_are_refused(self, tmp_path, script):
+        write_dataset(tmp_path, 10, script, seed=4)
+        path = tmp_path / "dlg0000_labels.json"
+        labels = json.loads(path.read_text())
+        path.write_text(json.dumps({**labels, "n_frames": labels["n_frames"] + 1}))
+        with pytest.raises(AudioError, match="vad_a has"):
+            load_item(tmp_path, "dlg0000")
 
     @pytest.mark.parametrize("turn_class", [ScriptedTurn, _ExtendedTurn])
     def test_label_turns_hold_every_turn_field(self, tmp_path, script, turn_class, monkeypatch):

@@ -16,6 +16,8 @@ from vapturn.noise import (
     apply_condition,
     mix_at_snr,
     sample_condition,
+    shape_noise,
+    shape_noises,
     split_dataset,
     synthetic_noise_bank,
     tile_to_length,
@@ -122,6 +124,22 @@ class TestMixAtSnr:
         p1 = float(np.mean((m1.samples - sig.samples) ** 2))
         p2 = float(np.mean((m2.samples - sig_a.samples) ** 2))
         assert p2 == pytest.approx(a * a * p1, rel=1e-6)
+
+    def test_memory_peak_is_the_mixture(self, traced_peak_bytes):
+        # mixed in place in the tiled noise, whose power is summed a block
+        # at a time, and handed to the Waveform with no copy
+        rng = np.random.default_rng(6)
+        sig = _rand_wave(rng, n=30 * 16000)
+        noi = _rand_wave(rng, n=5 * 16000)
+        kept = 30 * 16000 * 8
+        assert traced_peak_bytes(lambda: mix_at_snr(sig, noi, 5.0, rng)) < 1.5 * kept
+
+
+def test_shape_noises_has_the_bits_of_shape_noise_per_tilt():
+    white = np.random.default_rng(0).standard_normal(4001)
+    tilts = (-4.0, -13.0, 10.0)
+    for tilt, shaped in zip(tilts, shape_noises(white, tilts)):
+        assert np.array_equal(shaped, shape_noise(white, tilt))
 
 
 class TestSampleCondition:

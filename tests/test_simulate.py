@@ -79,21 +79,24 @@ class TestGeneration:
 
         monkeypatch.setattr(simulate, "render_burst", record)
         script = DialogueScript(n_turns=6, continuation_prob=1.0, seed=11)
+        # the channels are rendered when .stereo is first read
         off = generate_scripted_dialogue(script)
+        off_stereo = off.stereo
         cues.clear()
         on = generate_scripted_dialogue(replace(script, hold_cue_prob=1.0))
+        on_stereo = on.stereo
         assert on.turns == off.turns
         assert all(turn.has_continuation for turn in on.turns)
         for name in ("vad_a", "vad_b"):
-            assert np.array_equal(getattr(on.stereo, name).frames, getattr(off.stereo, name).frames)
-        assert np.array_equal(on.stereo.channel_b.samples, off.stereo.channel_b.samples)
+            assert np.array_equal(getattr(on_stereo, name).frames, getattr(off_stereo, name).frames)
+        assert np.array_equal(on_stereo.channel_b.samples, off_stereo.channel_b.samples)
         # user bursts are rendered first, in time order, one per label run
-        labels = np.r_[False, on.stereo.vad_a.frames, False]
+        labels = np.r_[False, on_stereo.vad_a.frames, False]
         edges = np.flatnonzero(np.diff(labels.astype(np.int8))).reshape(-1, 2) * SAMPLES_PER_LABEL_FRAME
         assert len(cues) == len(edges) + len(on.turns)  # one robot burst per turn
         user_cues = cues[: len(edges)]
         assert user_cues.count("hold") == len(on.turns)
-        differs = on.stereo.channel_a.samples != off.stereo.channel_a.samples
+        differs = on_stereo.channel_a.samples != off_stereo.channel_a.samples
         held = np.zeros_like(differs)
         for (start, end), cue in zip(edges, user_cues):
             held[start:end] = cue == "hold"
@@ -213,6 +216,74 @@ class TestGeneration:
     def test_unknown_cue_rejected(self):
         with pytest.raises(ValueError):
             render_burst(1.0, np.random.default_rng(0), -4.0, cue="shout")
+
+
+class TestLazyRendering:
+    @pytest.fixture
+    def rendered_tilts(self, monkeypatch):
+        """The tilt of every burst rendered while the test runs."""
+        tilts = []
+        render = simulate.render_burst
+
+        def record(duration_s, rng, tilt, cue="none"):
+            tilts.append(tilt)
+            return render(duration_s, rng, tilt, cue=cue)
+
+        monkeypatch.setattr(simulate, "render_burst", record)
+        return tilts
+
+    def test_cloud_only_simulate_renders_no_audio(self, rendered_tilts, tmp_path):
+        from vapturn.cli import main
+
+        assert main(["simulate", "--out", str(tmp_path), "--policies", "stt", "--n-dialogues", "2"]) == 0
+        assert rendered_tilts == []
+
+    def test_replaying_session_renders_the_user_channel_only(self, rendered_tilts):
+        cfg = ModelConfig()
+        dialogue = generate_scripted_dialogue(DialogueScript(n_turns=3, seed=5))
+        run_session(dialogue, params=init_params(cfg, seed=2), model_cfg=cfg, seed=1)
+        assert set(rendered_tilts) == {simulate.USER_TILT_DB_PER_OCTAVE}
+
+    def test_records_do_not_depend_on_what_was_rendered_before(self):
+        # theta just above the untrained model's p_now_robot, so the
+        # detector decides some turns
+        cfg = ModelConfig()
+        vap_cfg = VapEndpointerConfig(theta=0.502, consecutive_k=2, min_user_speech_ms=0.0)
+        kwargs = dict(params=init_params(cfg, seed=2), model_cfg=cfg, vap_cfg=vap_cfg, seed=1)
+        script = DialogueScript(n_turns=3, seed=5)
+        lazy = generate_scripted_dialogue(script)
+        rendered = generate_scripted_dialogue(script)
+        rendered.stereo
+        records = run_session(lazy, **kwargs)
+        assert records == run_session(rendered, **kwargs)
+        assert {r.source for r in records["hybrid"]} == {SOURCE_VAP, SOURCE_STT}
+        assert "stereo" not in vars(lazy)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            DialogueScript(n_turns=0, seed=8),
+            DialogueScript(n_turns=4, continuation_prob=0.5, hold_cue_prob=1.0, seed=8),
+        ],
+        ids=["no-turns", "cued"],
+    )
+    def test_stereo_bits_do_not_depend_on_reading_user_first(self, script):
+        direct = generate_scripted_dialogue(script).stereo
+        dialogue = generate_scripted_dialogue(script)
+        user = dialogue.user
+        stereo = dialogue.stereo
+        assert stereo.channel_a is user
+        for name in ("channel_a", "channel_b"):
+            assert np.array_equal(getattr(stereo, name).samples, getattr(direct, name).samples)
+        for name in ("vad_a", "vad_b"):
+            assert np.array_equal(getattr(stereo, name).frames, getattr(direct, name).frames)
+
+    def test_user_channel_memory_peak_is_the_channel(self, traced_peak_bytes):
+        # the bursts are written into the channel, which the Waveform keeps
+        # with no copy; a burst's temporaries (about 3 MB for the longest)
+        # are small beside a dialogue of 12 turns
+        dialogue = generate_scripted_dialogue(DialogueScript(n_turns=12, seed=11))
+        assert traced_peak_bytes(lambda: dialogue.user) < 1.5 * dialogue.n_samples * 8
 
 
 class TestRunSession:

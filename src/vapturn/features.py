@@ -20,6 +20,8 @@ LOG_FLOOR = 1e-10
 FRONTEND_BLOCK = 32  # frames per frontend call
 PRODUCT_ROWS = 4  # rows per filterbank product: the tick's 4 frames of one hop
 LEAD_FRAMES = WINDOW_SAMPLES // HOP_SAMPLES - 1  # frames that reach before the start
+# kind m of a frame keeps its last m + 1 hops; kind LEAD_FRAMES is the whole frame
+KINDS = np.arange(LEAD_FRAMES + 1)
 
 
 def hz_to_mel(f):
@@ -52,11 +54,11 @@ def mel_filterbank() -> np.ndarray:
     return bank
 
 
-@lru_cache(maxsize=1)
-def _window_fn() -> np.ndarray:
-    w = np.hanning(WINDOW_SAMPLES)
-    w.setflags(write=False)
-    return w
+# kind m's analysis window: the Hann window with its leading LEAD_FRAMES - m hops zero
+_KIND_WINDOWS = np.hanning(WINDOW_SAMPLES) * (
+    np.arange(WINDOW_SAMPLES) >= (LEAD_FRAMES - KINDS)[:, None] * HOP_SAMPLES
+)
+_KIND_WINDOWS.setflags(write=False)
 
 
 def feature_frame_count(n_samples: int) -> int:
@@ -88,35 +90,34 @@ def _check_finite(*channels: np.ndarray | None) -> None:
 def hop_frames(samples: np.ndarray, rows) -> np.ndarray:
     """(len(rows), WINDOW_SAMPLES) frames of 1-D samples: row i is the 400 ms
     frame ending at hop rows[i] + 1, zero-padded before the start, where
-    rows index the floor(n_samples / 1600) frames of the recording.
+    rows index the floor(n_samples / 1600) frames of the recording;
+    IndexError for a row outside them.
 
-    No padded copy of the recording is made. Consecutive rows from
-    LEAD_FRAMES on are a read-only strided view of the samples themselves;
-    any other rows are copied out of that view, and the first LEAD_FRAMES
-    frames, which reach before the start, are built apart.
+    No padded copy of the recording is made. Two or more consecutive rows
+    from LEAD_FRAMES on are a read-only strided view of the samples
+    themselves; any other rows are copied out of the samples, after zeros
+    for the first LEAD_FRAMES frames, which reach before the start.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    n_late = max(feature_frame_count(samples.size) - LEAD_FRAMES, 0)
-    stride = samples.strides[0]
-    # row r of late is frame r + LEAD_FRAMES, which starts at sample r * HOP_SAMPLES
-    late = np.lib.stride_tricks.as_strided(
-        samples,
-        shape=(n_late, WINDOW_SAMPLES),
-        strides=(HOP_SAMPLES * stride, stride),
-        writeable=False,
-    )
-    if rows.size and rows[0] >= LEAD_FRAMES and (np.diff(rows) == 1).all():
-        return late[rows[0] - LEAD_FRAMES : rows[-1] + 1 - LEAD_FRAMES]
+    n_frames = feature_frame_count(samples.size)
+    starts = (rows - LEAD_FRAMES) * HOP_SAMPLES  # negative before the start
+    if rows.size > 1 and starts[0] >= 0 and rows[-1] < n_frames and (np.diff(rows) == 1).all():
+        stride = samples.strides[0]
+        return np.lib.stride_tricks.as_strided(
+            samples[starts[0] :],
+            shape=(rows.size, WINDOW_SAMPLES),
+            strides=(HOP_SAMPLES * stride, stride),
+            writeable=False,
+        )
     frames = np.empty((rows.size, WINDOW_SAMPLES))
-    # row by row: over this overlapping view a fancy-index gather of 300
-    # frames took 11 ms, row copies 0.6 ms (2-vCPU VM, numpy 2.4)
-    for i, t in enumerate(rows.tolist()):
-        if t >= LEAD_FRAMES:
-            frames[i] = late[t - LEAD_FRAMES]
-        else:
-            n = (t + 1) * HOP_SAMPLES
-            frames[i, :-n] = 0.0
-            frames[i, -n:] = samples[:n]
+    # row by row: a fancy-index gather of 300 frames over an overlapping
+    # view took 11 ms, row copies 0.6 ms (2-vCPU VM, numpy 2.4)
+    for i, start in enumerate(starts.tolist()):
+        if not -LEAD_FRAMES * HOP_SAMPLES <= start <= samples.size - WINDOW_SAMPLES:
+            raise IndexError(f"row {rows[i]} is not one of the {n_frames} frames")
+        lead = max(-start, 0)
+        frames[i, :lead] = 0.0
+        frames[i, lead:] = samples[start + lead : start + WINDOW_SAMPLES]
     return frames
 
 
@@ -125,25 +126,41 @@ def extract_features(w) -> np.ndarray:
 
     Accepts a Waveform or a raw sample array; a raw array that is not 1-D
     raises AudioError, one with NaN or infinite samples NonFiniteAudioError.
-    Returns shape (T, N_MELS) with T = floor(n_samples / 1600), row t from
-    hop_frames row t. A frame with no nonzero sample gets the silent row,
-    log(LOG_FLOOR) in every band, without the frontend.
+    Returns shape (T, N_MELS) with T = floor(n_samples / 1600): row t is
+    kind_rows' row of hop_frames row t, the whole frame.
     """
     samples = _samples(w)
     if not isinstance(w, Waveform):  # a Waveform is checked when it is built
         _check_finite(samples)
+    return kind_rows(samples, np.arange(feature_frame_count(samples.size)), LEAD_FRAMES)
+
+
+def kind_rows(samples: np.ndarray, hops, kinds) -> np.ndarray:
+    """(n, N_MELS) log-mel rows of 1-D samples, one per (hop, kind) pair of
+    hops and kinds broadcast to length n (a scalar is shared by all pairs):
+    the row of frame hops[i] (a hop_frames row) with all but its last
+    kinds[i] + 1 hops zeroed, with the bits of that pair computed alone.
+    Sound is tested once per hop: a pair whose 400 ms frame holds no nonzero
+    sample gets the silent row without the frontend, the others reach
+    _log_mel FRONTEND_BLOCK at a time."""
+    hops, kinds = np.asarray(hops, dtype=np.intp), np.asarray(kinds, dtype=np.intp)
+    pairs = np.broadcast(hops, kinds)
+    rows = np.full((pairs.size, N_MELS), np.log(LOG_FLOOR))  # the silent row
     n = feature_frame_count(samples.size)
-    # frame t holds hops t - LEAD_FRAMES .. t, so sound is tested once per hop
     hop_sound = samples[: n * HOP_SAMPLES].reshape(n, HOP_SAMPLES).any(axis=1)
-    sound = hop_sound.copy()
-    for lag in range(1, LEAD_FRAMES + 1):
-        sound[lag:] |= hop_sound[:-lag]
-    rows = np.flatnonzero(sound)
-    out = silent_features(n).copy()
-    for start in range(0, rows.size, FRONTEND_BLOCK):
-        index = rows[start : start + FRONTEND_BLOCK]
-        out[index] = _log_mel(hop_frames(samples, index))
-    return out
+    if not hop_sound.any():
+        return rows
+    # sounding[t] counts the hops with sound before hop t, so frame t, of hops
+    # t - LEAD_FRAMES .. t, has sound if the count grows over them
+    sounding = np.concatenate(([0], np.cumsum(hop_sound)))
+    sound = np.empty(pairs.shape, dtype=bool)  # one flag per pair
+    np.greater(sounding[hops + 1], sounding[np.maximum(hops - LEAD_FRAMES, 0)], out=sound)
+    index = np.flatnonzero(sound)
+    for start in range(0, index.size, FRONTEND_BLOCK):
+        i = index[start : start + FRONTEND_BLOCK]
+        frames = hop_frames(samples, hops[i] if hops.ndim else [hops])
+        rows[i] = _log_mel(frames, kinds[i] if kinds.ndim else kinds)
+    return rows
 
 
 def silent_features(n_frames: int) -> np.ndarray:
@@ -153,8 +170,12 @@ def silent_features(n_frames: int) -> np.ndarray:
     return np.broadcast_to(np.log(LOG_FLOOR), (n_frames, N_MELS))
 
 
-def _log_mel(frames: np.ndarray) -> np.ndarray:
-    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame.
+def _log_mel(frames: np.ndarray, kinds=LEAD_FRAMES) -> np.ndarray:
+    """Log-mel rows of (n, WINDOW_SAMPLES) audio frames, one row per frame:
+    row i is frame i times the analysis window of kind kinds[i], which
+    zeroes its leading LEAD_FRAMES - kinds[i] hops. frames and kinds
+    broadcast, so one frame can take several kinds, and a kind several
+    frames.
 
     The filterbank product is a stack of PRODUCT_ROWS-row products, zero rows
     filling the last one. OpenBLAS rounds a product by its row count (1, 2-7
@@ -162,8 +183,8 @@ def _log_mel(frames: np.ndarray) -> np.ndarray:
     every product a row has the bits of its frame computed alone, whatever
     the batch or caller.
     """
-    n = len(frames)
-    spectrum = np.fft.rfft(frames * _window_fn(), axis=1)
+    spectrum = np.fft.rfft(frames * _KIND_WINDOWS[kinds], axis=1)
+    n = len(spectrum)
     n_bins = spectrum.shape[1]
     power = np.empty((-(-n // PRODUCT_ROWS) * PRODUCT_ROWS, n_bins))
     power[n:] = 0.0

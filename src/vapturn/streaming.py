@@ -5,23 +5,24 @@ Each tick runs the forward pass over the features of the zero-padded trailing
 does not depend on how the audio was chunked. Row j of the window ending at
 hop k is the 400 ms frame ending at hop k - context_frames + 1 + j, keeping
 the min(j + 1, 4) hops of it inside the window and zeros before them: kind
-min(j, 3) of that hop. One function, _kind_rows, builds such rows. The tick
-builds all 4 kinds of each new hop from its frame, read in place from the
-queued audio, and keeps them in a ring; a window is one fixed gather over the
-ring. replay builds only the (hop, kind) pairs its requested windows read, a
-block at a time. Both then take one prediction step, _predict. Only the
-newest row's prediction is used, so the last cross layer and the heads run
-on that row alone.
+min(j, 3) of that hop. features.kind_rows builds such rows, as it builds
+extract_features'. The tick builds all 4 kinds of each new hop from its frame,
+read in place from the queued audio, and keeps them in a ring; a window is one
+fixed gather over the ring. replay builds, in one call, only the (hop, kind)
+pairs its requested windows read. Both then take one prediction step,
+_predict. Only the newest row's prediction is used, so the last cross layer
+and the heads run on that row alone.
 
-Silence is read from the data. A frame with no nonzero sample has the silent
-rows, which _kind_rows writes without the frontend. The deployed engine hears
-the user with the robot channel zeroed. When every robot feature a prediction
-step reads is silent, whatever the audio under it, the step reuses one stored
-encoding of the silent window. This is exact: the tick is bit-identical to
-computing the robot side in full. A feature row has the bits of its frame
-computed alone, whatever the batch (see features._log_mel), so replay is
-bit-identical to run_stream, and every window the tick or replay feeds the
-model is extract_features of the zero-padded trailing window, bit for bit.
+Silence is read from the data, by kind_rows' one rule: a frame with no nonzero
+sample has the silent rows, made without the frontend. The deployed engine
+hears the user with the robot channel zeroed. When every robot feature a
+prediction step reads is silent, whatever the audio under it, the step reuses
+one stored encoding of the silent window. This is exact: the tick is
+bit-identical to computing the robot side in full. A feature row has the bits
+of its pair computed alone, whatever the batch (see features._log_mel), so
+replay is bit-identical to run_stream, and every window the tick or replay
+feeds the model is extract_features of the zero-padded trailing window, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ from .audio import SAMPLE_RATE
 from .codebook import entropy_nats, p_now_pair
 from .features import (
     HOP_SAMPLES,
+    KINDS,
+    LEAD_FRAMES,
     N_MELS,
     WINDOW_SAMPLES,
     NonFiniteAudioError,
     _check_finite,
-    _log_mel,
     _samples,
-    hop_frames,
+    kind_rows,
     silent_features,
 )
 
@@ -53,17 +55,12 @@ from .features import extract_features  # noqa: F401
 from .model import ModelConfig, encode_channel, forward, forward_last  # noqa: F401
 
 TICK_PERIOD_S = HOP_SAMPLES / SAMPLE_RATE
-# kind m of a hop's 400 ms frame keeps the samples _KEEP[m] marks, its last m + 1 hops
-_KINDS = WINDOW_SAMPLES // HOP_SAMPLES
-_ALL_KINDS = np.arange(_KINDS)
-_KEEP = np.arange(WINDOW_SAMPLES) >= (_KINDS - 1 - _ALL_KINDS)[:, None] * HOP_SAMPLES
 # samples the pending queue keeps before its oldest hop, so that a hop's frame is a view
 _HISTORY = WINDOW_SAMPLES - HOP_SAMPLES
-# windows per replay forward call, and rows per replay frontend call. On a
-# 54 s recording (2-vCPU VM, 1 BLAS thread) 16 and 32 ran equally fast, 64 and
-# 128 5-10 % slower. At 32, replay's traced peak (tracemalloc, after a warm-up
-# call) on a 54.55 s generated dialogue is 7.4 MB with no robot channel and
-# 8.3 MB with one: one block's prediction step or frontend work
+# windows per replay forward call. On a 54 s recording (2-vCPU VM, 1 BLAS
+# thread) 16 and 32 ran equally fast, 64 and 128 5-10 % slower. At 32,
+# replay's traced peak (tracemalloc, after a warm-up call) on a 54.55 s
+# generated dialogue is 7.1 MB with no robot channel and 8.3 MB with one
 REPLAY_BLOCK = 32
 
 
@@ -131,26 +128,12 @@ def _channels(wav_a, wav_b) -> tuple:
     return a, b
 
 
-def _kind_rows(frames: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-    """(n, N_MELS) rows of n = len(kinds) frames, given as (n, WINDOW_SAMPLES)
-    or as one (1, WINDOW_SAMPLES) frame for all of them: row i is the log-mel
-    of frame i with all but its last kinds[i] + 1 hops zeroed, or the silent
-    row, without the frontend, when frame i holds no nonzero sample."""
-    sound = frames.any(axis=1)
-    if sound.all():
-        return _log_mel(np.where(_KEEP[kinds], frames, 0.0))
-    rows = silent_features(len(kinds)).copy()
-    if sound.any():
-        rows[sound] = _log_mel(np.where(_KEEP[kinds[sound]], frames[sound], 0.0))
-    return rows
-
-
 def _windows(rows: np.ndarray, oldest, ctx: int) -> np.ndarray:
-    """(len(oldest), ctx, N_MELS) windows from (hops, _KINDS, N_MELS) per-hop
-    rows: row j of a window is kind min(j, _KINDS - 1) of hop oldest + j.
-    Hops are taken modulo len(rows), so rows may be a ring."""
+    """(len(oldest), ctx, N_MELS) windows from (hops, len(KINDS), N_MELS)
+    per-hop rows: row j of a window is kind min(j, LEAD_FRAMES) of hop
+    oldest + j. Hops are taken modulo len(rows), so rows may be a ring."""
     hops = (np.asarray(oldest)[:, None] + np.arange(ctx)) % len(rows)
-    return rows[hops, np.minimum(np.arange(ctx), _KINDS - 1)]
+    return rows[hops, np.minimum(np.arange(ctx), LEAD_FRAMES)]
 
 
 def _silent_robot_encoding(params: dict, cfg: ModelConfig) -> np.ndarray:
@@ -231,7 +214,7 @@ class StreamContext:
         frames = self._queue[:, :WINDOW_SAMPLES]
         self._queue = self._queue[:, HOP_SAMPLES:]
         for c in (0, 1):
-            rows = _kind_rows(frames[c, None], _ALL_KINDS)
+            rows = kind_rows(frames[c], LEAD_FRAMES, KINDS)
             self._rows[c, self.clock % self.cfg.context_frames] = rows
         # the ring slot of hop h is h % ctx, so the window's oldest hop is in slot clock + 1
         oldest = [self.clock + 1]
@@ -249,7 +232,7 @@ class StreamContext:
         """Back to a fresh context: silent window, empty queue, clock at 0."""
         ctx = self.cfg.context_frames
         # the rows of each channel's last ctx hops
-        self._rows = np.broadcast_to(silent_features(1), (2, ctx, _KINDS, N_MELS)).copy()
+        self._rows = np.broadcast_to(silent_features(1), (2, ctx, len(KINDS), N_MELS)).copy()
         # the queued audio of both channels, after _HISTORY samples of the
         # audio before it, zeros at the start
         self._queue = np.zeros((2, _HISTORY))
@@ -292,26 +275,22 @@ def _checked_ticks(ticks, n_ticks: int) -> np.ndarray:
 
 def _replay_rows(x: np.ndarray | None, ticks: np.ndarray, ctx: int, n_ticks: int) -> np.ndarray:
     """The rows the windows of ticks read from channel x, of n_ticks hops:
-    an array of shape (ctx - 1 + n_ticks, _KINDS, N_MELS) holding hop
+    an array of shape (ctx - 1 + n_ticks, len(KINDS), N_MELS) holding hop
     i + 2 - ctx at index i, so the window of tick k starts at index k - 1.
     Only the (hop, kind) pairs those windows read, with hop >= 1, are
-    computed, REPLAY_BLOCK to a _kind_rows call; the rest are silent, all of
-    them, as a read-only broadcast, for zeros x or x None (a missing
-    channel)."""
+    computed, in one kind_rows call; the rest are silent, all of them, as a
+    read-only broadcast, for zeros x or x None (a missing channel)."""
     lead = ctx - 1
-    rows = np.broadcast_to(silent_features(1), (lead + n_ticks, _KINDS, N_MELS))
-    audio = None if x is None else x[: n_ticks * HOP_SAMPLES]
-    if audio is None or not audio.any():
+    rows = np.broadcast_to(silent_features(1), (lead + n_ticks, len(KINDS), N_MELS))
+    if x is None or not x[: n_ticks * HOP_SAMPLES].any():
         return rows
     rows = rows.copy()
-    read = np.zeros((lead + n_ticks, _KINDS), dtype=bool)
+    read = np.zeros((lead + n_ticks, len(KINDS)), dtype=bool)
     j = np.arange(ctx)
-    read[ticks[:, None] - 1 + j, np.minimum(j, _KINDS - 1)] = True
-    index, kinds = np.nonzero(read[lead:])
+    read[ticks[:, None] - 1 + j, np.minimum(j, LEAD_FRAMES)] = True
     # index i holds hop i + 1, whose frame is hop_frames row i
-    for i in range(0, len(index), REPLAY_BLOCK):
-        h, m = index[i : i + REPLAY_BLOCK], kinds[i : i + REPLAY_BLOCK]
-        rows[lead + h, m] = _kind_rows(hop_frames(audio, h), m)
+    index, kinds = np.nonzero(read[lead:])
+    rows[lead + index, kinds] = kind_rows(x, index, kinds)
     return rows
 
 
@@ -324,7 +303,7 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> lis
     increasing. Results equal run_stream's on every field but compute_ms,
     bit for bit, whatever ticks selects. Each block of REPLAY_BLOCK requested
     windows takes the tick's prediction step (_predict) over rows built by
-    the tick's _kind_rows (see _replay_rows). A block whose robot windows are
+    the tick's kind_rows (see _replay_rows). A block whose robot windows are
     all silent, as every block is when wav_b is None, shares one encoding of
     the silent window, made at most once per call. compute_ms of every result
     in a block is the block's wall time divided by the windows in it; the row

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vapturn import features
+
 
 def _openblas_runtime_configuration():
     """The configuration string of the OpenBLAS bundled with numpy, asked of
@@ -67,3 +69,23 @@ def traced_peak_and_retained_bytes():
     call, and what of it fn's result and anything else still hold once fn
     returns (tracemalloc)."""
     return _trace
+
+
+@pytest.fixture
+def frontend_calls(monkeypatch):
+    """Record each frontend call (features._log_mel) as the frames it
+    analyses, one per (frame, kind) pair, with the leading
+    LEAD_FRAMES - m hops of kind m zeroed; returns the list of calls."""
+    calls = []
+    log_mel = features._log_mel
+
+    def record(frames, kinds=features.LEAD_FRAMES):
+        n = np.broadcast(np.arange(len(frames)), kinds).size
+        kept = np.array(np.broadcast_to(frames, (n, features.WINDOW_SAMPLES)))
+        for row, m in zip(kept, np.broadcast_to(kinds, n)):
+            row[: (features.LEAD_FRAMES - m) * features.HOP_SAMPLES] = 0.0
+        calls.append(kept)
+        return log_mel(frames, kinds)
+
+    monkeypatch.setattr(features, "_log_mel", record)
+    return calls

@@ -9,6 +9,8 @@ from vapturn.codebook import LABELS_PER_FEATURE_FRAME
 from vapturn.endpointing import FRAME_MS
 from vapturn.features import (
     HOP_SAMPLES,
+    KINDS,
+    LEAD_FRAMES,
     LOG_FLOOR,
     N_MELS,
     WINDOW_SAMPLES,
@@ -17,6 +19,7 @@ from vapturn.features import (
     feature_frame_count,
     hop_frames,
     hz_to_mel,
+    kind_rows,
     mel_band_edges_hz,
     mel_filterbank,
     silent_features,
@@ -162,6 +165,36 @@ def test_log_mel_rows_do_not_depend_on_the_batch():
         assert features._log_mel(frames[order]).tobytes() == alone[order].tobytes(), n
 
 
+def test_kind_windows_equal_zeroing_the_dropped_hops():
+    # kind m's analysis window zeroes a frame's leading LEAD_FRAMES - m hops:
+    # rows equal those of the frames with those hops set to +0.0, byte for
+    # byte, also where they hold negative samples, which the window turns
+    # into -0.0
+    rng = np.random.default_rng(17)
+    frames = 0.1 * rng.standard_normal((24, WINDOW_SAMPLES))
+    frames[0, : LEAD_FRAMES * HOP_SAMPLES] = -np.abs(frames[0, : LEAD_FRAMES * HOP_SAMPLES])
+    kinds = np.r_[KINDS, rng.integers(0, len(KINDS), len(frames) - len(KINDS))]
+    zeroed = frames.copy()
+    for row, m in zip(zeroed, kinds):
+        row[: (LEAD_FRAMES - m) * HOP_SAMPLES] = 0.0
+    assert features._log_mel(frames, kinds).tobytes() == features._log_mel(zeroed).tobytes()
+    for m in KINDS:  # one kind for the whole batch
+        dropped = np.arange(WINDOW_SAMPLES) < (LEAD_FRAMES - m) * HOP_SAMPLES
+        expected = features._log_mel(np.where(dropped, 0.0, frames))
+        assert features._log_mel(frames, m).tobytes() == expected.tobytes()
+
+
+def test_pair_with_silent_kept_hops_gets_the_silent_row():
+    # frame 3 sounds in its first hop only, negative samples there: its
+    # kinds 0-2 keep only silent hops and get exactly the silent row
+    samples = np.zeros(WINDOW_SAMPLES)
+    samples[:HOP_SAMPLES] = -0.1 * np.abs(np.random.default_rng(18).standard_normal(HOP_SAMPLES))
+    rows = kind_rows(samples, LEAD_FRAMES, KINDS)
+    assert rows[:LEAD_FRAMES].tobytes() == silent_features(LEAD_FRAMES).tobytes()
+    assert rows[LEAD_FRAMES].tobytes() == extract_features(samples)[LEAD_FRAMES].tobytes()
+    assert (rows[LEAD_FRAMES] != silent_features(1)[0]).any()
+
+
 def test_blocked_frontend_keeps_the_bits_of_each_frame_alone():
     rng = np.random.default_rng(12)
     counts = list(range(81)) + [32 * k + r for k in (3, 4, 9) for r in range(1, 8)]
@@ -171,17 +204,9 @@ def test_blocked_frontend_keeps_the_bits_of_each_frame_alone():
         _assert_frontend_bits(samples, extract_features(samples))
 
 
-def test_frontend_skips_frames_without_sound(monkeypatch):
+def test_frontend_skips_frames_without_sound(frontend_calls):
     # a frame with no nonzero sample gets the silent row without the
     # frontend, which gets exactly the frames with sound
-    calls = []
-    log_mel = features._log_mel
-
-    def record(frames):
-        calls.append(np.array(frames))
-        return log_mel(frames)
-
-    monkeypatch.setattr(features, "_log_mel", record)
     rng = np.random.default_rng(14)
     for _ in range(60):
         n_frames = int(rng.integers(1, 120))
@@ -192,9 +217,9 @@ def test_frontend_skips_frames_without_sound(monkeypatch):
             burst[:] = 0.1 * rng.standard_normal(burst.size)
         hops = samples.reshape(n_frames, HOP_SAMPLES).any(axis=1)
         sounding = [t for t in range(n_frames) if hops[max(0, t - 3) : t + 1].any()]
-        calls.clear()
+        frontend_calls.clear()
         got = extract_features(samples)
-        frontend_frames = np.concatenate([np.empty((0, WINDOW_SAMPLES))] + calls)
+        frontend_frames = np.concatenate([np.empty((0, WINDOW_SAMPLES))] + frontend_calls)
         assert np.array_equal(frontend_frames, hop_frames(samples, sounding))
         _assert_frontend_bits(samples, got)
 
@@ -230,3 +255,6 @@ def test_hop_frames_reads_the_samples_in_place():
     assert np.array_equal(head[0], np.r_[np.zeros(3 * HOP_SAMPLES), samples[:HOP_SAMPLES]])
     assert np.array_equal(head[1], samples[2 * HOP_SAMPLES :])
     assert np.array_equal(head[2], np.r_[np.zeros(HOP_SAMPLES), samples[: 3 * HOP_SAMPLES]])
+    for outside in ([5, 6], [6], [-1]):
+        with pytest.raises(IndexError, match="not one of the 6 frames"):
+            hop_frames(samples, outside)

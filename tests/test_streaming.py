@@ -417,13 +417,12 @@ class TestUserZeroGaps:
         for r, o in zip(base, oracle):
             assert max(abs(r.p_now_user - o[0]), abs(r.p_now_robot - o[1])) <= 1e-5
 
-    def test_frontend_runs_only_on_frames_with_sound(self, params, cfg, monkeypatch):
+    def test_frontend_runs_only_on_frames_with_sound(self, params, cfg, frontend_calls):
         audio = _gappy_user(6.0, seed=31)
-        calls = _record_frontend(monkeypatch)
         run_stream(params, cfg, audio)
         # one call per frame with sound: its 4 kinds, the last the whole frame
-        assert all(len(f) == 4 for f in calls)
-        frames = [f[-1:] for f in calls]
+        assert all(len(f) == 4 for f in frontend_calls)
+        frames = [f[-1:] for f in frontend_calls]
         sounding = [k for k in range(1, 61) if audio[max(0, k - 4) * 1600 : k * 1600].any()]
         assert 30 < len(sounding) < 60
         # the robot is silent throughout, so every call is the user's frame
@@ -580,37 +579,21 @@ class TestReplayTicks:
             raise AssertionError("rows computed before the ticks were checked")
 
         monkeypatch.setattr(streaming, "extract_features", no_work)
-        monkeypatch.setattr(streaming, "_log_mel", no_work)
+        monkeypatch.setattr(streaming, "kind_rows", no_work)
         monkeypatch.setattr(streaming, "forward_last", no_work)
         audio = _audio(4.0, seed=28)  # 40 ticks
         with pytest.raises(ValueError, match="ticks"):
             replay(params, cfg, audio, ticks=ticks)
 
 
-def _record_frontend(monkeypatch) -> list:
-    """Record the frames of each frontend call, in streaming or through
-    extract_features."""
-    calls = []
-    log_mel = features._log_mel
-
-    def record(frames):
-        calls.append(np.array(frames))
-        return log_mel(frames)
-
-    monkeypatch.setattr(features, "_log_mel", record)
-    monkeypatch.setattr(streaming, "_log_mel", record)
-    return calls
-
-
 class TestReplayRows:
     """replay computes only the rows its windows read, a block at a time."""
 
-    def test_frontend_gets_blocks_of_frames_with_sound(self, params, cfg, monkeypatch):
+    def test_frontend_gets_blocks_of_frames_with_sound(self, params, cfg, frontend_calls):
         audio = _gappy_user(6.0, seed=35)
         robot = _burst_robot(audio.size, [(2.5, 0.3)], seed=36)
-        calls = _record_frontend(monkeypatch)
         replay(params, cfg, audio, robot)
-        assert calls and max(len(f) for f in calls) <= streaming.REPLAY_BLOCK
+        assert frontend_calls and max(len(f) for f in frontend_calls) <= features.FRONTEND_BLOCK
         # the (hop, kind) pairs the windows read whose 400 ms frame holds
         # sound, kind m keeping the frame's last m + 1 hops
         ctx = cfg.context_frames
@@ -621,16 +604,15 @@ class TestReplayRows:
                 if hop >= 1 and (row := hop_frames(x, [hop - 1])[0].copy()).any():
                     row[: (3 - kind) * HOP_SAMPLES] = 0.0
                     expected.append(row.tobytes())
-        assert Counter(f.tobytes() for f in np.concatenate(calls)) == Counter(expected)
+        assert Counter(f.tobytes() for f in np.concatenate(frontend_calls)) == Counter(expected)
 
     @pytest.mark.parametrize("tick", [1, 30, 80])
-    def test_one_tick_computes_at_most_context_rows_per_channel(self, params, cfg, tick, monkeypatch):
+    def test_one_tick_computes_at_most_context_rows_per_channel(self, params, cfg, tick, frontend_calls):
         audio, robot = _audio(8.0, seed=37), _audio(8.0, seed=38)
-        calls = _record_frontend(monkeypatch)
         [result] = replay(params, cfg, audio, robot, ticks=[tick])
         assert result.frame_index == tick
         # every frame sounds, so each channel computes the window's rows of hops >= 1
-        assert sum(len(f) for f in calls) == 2 * min(tick, cfg.context_frames)
+        assert sum(len(f) for f in frontend_calls) == 2 * min(tick, cfg.context_frames)
 
     def test_memory_peak_is_bounded_on_a_dialogue(self, params, cfg, traced_peak_bytes):
         audio = generate_scripted_dialogue(DialogueScript(n_turns=6, seed=0)).stereo.channel_a

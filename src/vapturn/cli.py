@@ -491,18 +491,24 @@ def cmd_stream(resolved: dict, file_cfg: dict) -> int:
     finally:
         if sink is not sys.stdout:
             sink.close()
-    mean_ms = float(np.mean([result.compute_ms for result in results])) if results else 0.0
-    rtf = mean_ms / (1000 * TICK_PERIOD_S)
+    hop_ms = 1000 * TICK_PERIOD_S
+    compute_ms = np.array([result.compute_ms for result in results] or [0.0])  # 0 with no tick
+    summary = {
+        "frames": len(results),
+        "mean_compute_ms": float(compute_ms.mean()),
+        "p95_compute_ms": float(np.percentile(compute_ms, 95)),
+        "max_compute_ms": float(compute_ms.max()),
+        "ticks_over_hop": int(np.count_nonzero(compute_ms > hop_ms)),
+        "rtf": float(compute_ms.mean()) / hop_ms,
+    }
     print(
-        f"streamed {len(results)} frames, mean compute {mean_ms:.2f} ms/tick, "
-        f"real-time factor {rtf:.3f}",
+        "streamed {frames} frames, compute mean {mean_compute_ms:.2f} / p95 {p95_compute_ms:.2f} / "
+        "max {max_compute_ms:.2f} ms/tick, {ticks_over_hop} ticks over the {hop_ms:.0f} ms hop, "
+        "real-time factor {rtf:.3f}".format(**summary, hop_ms=hop_ms),
         file=sys.stderr,
     )
     if resolved["out"] != "-":
-        _dump_json(
-            {**resolved, "frames": len(results), "mean_compute_ms": mean_ms, "rtf": rtf},
-            str(resolved["out"]) + ".config.json",
-        )
+        _dump_json({**resolved, **summary}, str(resolved["out"]) + ".config.json")
     return EXIT_OK
 
 

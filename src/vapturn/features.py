@@ -61,6 +61,32 @@ _KIND_WINDOWS = np.hanning(WINDOW_SAMPLES) * (
 _KIND_WINDOWS.setflags(write=False)
 
 
+def _band_groups(bands_per_group: int) -> tuple:
+    """(bands, bins, weights) of each run of bands_per_group consecutive
+    filterbank bands: the bins where any of their triangles is nonzero, and
+    the (bands, bins) weights there, which hold every nonzero weight of
+    those bands."""
+    bank = mel_filterbank()
+    groups = []
+    for first in range(0, N_MELS, bands_per_group):
+        bands = slice(first, min(first + bands_per_group, N_MELS))
+        covered = np.flatnonzero(bank[bands].any(axis=0))
+        bins = slice(int(covered[0]), int(covered[-1]) + 1)
+        weights = np.ascontiguousarray(bank[bands, bins])
+        weights.setflags(write=False)
+        groups.append((bands, bins, weights))
+    return tuple(groups)
+
+
+# 5 groups of 8 bands read 27848 of the filterbank's 128040 weights. Filterbank
+# product per row (2-vCPU VM, OpenBLAS 0.3.31 with 1 thread), for 1 / 2 / 4 /
+# 5 / 8 / 10 groups: a 32-row block 8.2 / 4.4 / 2.7 / 2.2 / 1.9 / 1.7 µs, the
+# tick's one 4-row product 9.0 / 5.0 / 4.4 / 4.4 / 5.4 / 5.9 µs per row;
+# dense, 7.9 µs for both. 5 groups are the fastest for the tick and within
+# 0.5 µs of the fastest for blocks
+_BAND_GROUPS = _band_groups(8)
+
+
 def feature_frame_count(n_samples: int) -> int:
     return n_samples // HOP_SAMPLES
 
@@ -177,18 +203,24 @@ def _log_mel(frames: np.ndarray, kinds=LEAD_FRAMES) -> np.ndarray:
     broadcast, so one frame can take several kinds, and a kind several
     frames.
 
-    The filterbank product is a stack of PRODUCT_ROWS-row products, zero rows
-    filling the last one. OpenBLAS rounds a product by its row count (1, 2-7
-    and 8 or more rows take different kernels), so with one row count for
-    every product a row has the bits of its frame computed alone, whatever
-    the batch or caller.
+    The power of a bin is re² + im², squared in place in the spectrum. The
+    filterbank product runs per band group (_BAND_GROUPS): each group of 8
+    consecutive bands reads only the bins where its triangles are nonzero,
+    so it skips no nonzero weight. Each group's product is a stack of
+    PRODUCT_ROWS-row products, zero rows filling the last one. OpenBLAS
+    rounds a product by its row count (1, 2-7 and 8 or more rows take
+    different kernels), so with one row count for every product a row has
+    the bits of its frame computed alone, whatever the batch or caller.
     """
     spectrum = np.fft.rfft(frames * _KIND_WINDOWS[kinds], axis=1)
-    n = len(spectrum)
-    n_bins = spectrum.shape[1]
-    power = np.empty((-(-n // PRODUCT_ROWS) * PRODUCT_ROWS, n_bins))
-    power[n:] = 0.0
-    np.square(spectrum.real, out=power[:n])
-    power[:n] += np.square(spectrum.imag)
-    mel_power = power.reshape(-1, PRODUCT_ROWS, n_bins) @ mel_filterbank().T
+    n, n_bins = spectrum.shape
+    squares = spectrum.view(np.float64)  # re, im of each bin side by side
+    np.square(squares, out=squares)
+    power = np.empty((-(-n // PRODUCT_ROWS), PRODUCT_ROWS, n_bins))
+    rows = power.reshape(-1, n_bins)
+    rows[n:] = 0.0
+    np.add(squares[:, 0::2], squares[:, 1::2], out=rows[:n])
+    mel_power = np.empty((len(power), PRODUCT_ROWS, N_MELS))
+    for bands, bins, weights in _BAND_GROUPS:
+        np.matmul(power[:, :, bins], weights.T, out=mel_power[:, :, bands])
     return np.log(np.maximum(mel_power.reshape(-1, N_MELS)[:n], LOG_FLOOR))

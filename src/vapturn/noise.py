@@ -125,11 +125,14 @@ def mix_at_snr(
     if p_noise == 0.0:
         raise SilentAudioError("noise is silent; SNR undefined")
     gain = math.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
-    # in place on the tiled noise: signal + gain * noise, then clipped
+    # in place on the tiled noise: signal + gain * noise, then clipped, counted
+    # only when a sample leaves [-1, 1]
     mixed *= gain
     mixed += signal.samples
-    clipped = int(np.count_nonzero(mixed > 1.0)) + int(np.count_nonzero(mixed < -1.0))
-    np.clip(mixed, -1.0, 1.0, out=mixed)
+    clipped = 0
+    if mixed.min() < -1.0 or mixed.max() > 1.0:
+        clipped = int(np.count_nonzero(mixed > 1.0)) + int(np.count_nonzero(mixed < -1.0))
+        np.clip(mixed, -1.0, 1.0, out=mixed)
     return Waveform.adopt(mixed), clipped
 
 

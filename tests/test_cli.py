@@ -431,6 +431,36 @@ class TestStream:
         assert abs(row["p_now_user"] + row["p_now_robot"] - 1.0) <= 1e-6
         assert (tmp_path / "frames.jsonl.config.json").exists()
 
+    def test_summary_gives_tick_tail_and_ticks_over_the_hop(self, workspace, tmp_path, monkeypatch, capsys):
+        # compute_ms of the 20 ticks set to 1..18 ms, then 150 and 250 ms
+        times = [*range(1, 19), 150.0, 250.0]
+
+        def timed_run_stream(*args, **kwargs):
+            results = run_stream(*args, **kwargs)[: len(times)]
+            return [replace(r, compute_ms=float(ms)) for r, ms in zip(results, times)]
+
+        monkeypatch.setattr(cli, "run_stream", timed_run_stream)
+        out = tmp_path / "frames.jsonl"
+        assert main([
+            "stream", "--checkpoint", str(workspace["run"] / "checkpoint.npz"),
+            "--wav", str(next(workspace["data"].glob("*_user.wav"))), "--out", str(out),
+        ]) == EXIT_OK
+        config = json.loads((tmp_path / "frames.jsonl.config.json").read_text())
+        summary = {
+            "frames": 20,
+            "mean_compute_ms": float(np.mean(times)),
+            "p95_compute_ms": float(np.percentile(times, 95)),
+            "max_compute_ms": 250.0,
+            "ticks_over_hop": 2,
+            "rtf": float(np.mean(times)) / 100.0,
+        }
+        assert {key: config[key] for key in summary} == summary
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"streamed 20 frames, compute mean {np.mean(times):.2f} / "
+            f"p95 {np.percentile(times, 95):.2f} / max 250.00 ms/tick, "
+            f"2 ticks over the 100 ms hop, real-time factor {np.mean(times) / 100:.3f}"
+        )
+
     def test_robot_wav_lines_match_run_stream(self, workspace, tmp_path):
         user = next(workspace["data"].glob("*_user.wav"))
         robot = user.with_name(user.name.replace("_user", "_robot"))

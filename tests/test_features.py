@@ -127,12 +127,19 @@ def test_filterbank_geometry():
     assert np.allclose(gaps, gaps[0], atol=1e-9)
 
 
-def _one_product_features(samples):
-    """The frontend as one product over every frame of the recording."""
-    frames = hop_frames(samples, np.arange(feature_frame_count(samples.size)))
-    spectrum = np.fft.rfft(frames * np.hanning(WINDOW_SAMPLES), axis=1)
+def _dense_log_mel(frames, kinds=LEAD_FRAMES):
+    """The frontend as one product of every frame's power with the whole
+    filterbank: frame i with its leading LEAD_FRAMES - kinds[i] hops zeroed,
+    Hann-windowed."""
+    dropped = np.arange(WINDOW_SAMPLES) < (LEAD_FRAMES - np.asarray(kinds))[..., None] * HOP_SAMPLES
+    spectrum = np.fft.rfft(np.where(dropped, 0.0, frames) * np.hanning(WINDOW_SAMPLES), axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     return np.log(np.maximum(power @ mel_filterbank().T, LOG_FLOOR))
+
+
+def _one_product_features(samples):
+    """The frontend as one product over every frame of the recording."""
+    return _dense_log_mel(hop_frames(samples, np.arange(feature_frame_count(samples.size))))
 
 
 def _frame_by_frame_features(samples):
@@ -141,8 +148,10 @@ def _frame_by_frame_features(samples):
     return np.array([features._log_mel(frame[None])[0] for frame in frames]).reshape(-1, N_MELS)
 
 
-# how far the 4-row products may round from one product over all frames;
-# with OpenBLAS 0.3.31 on SkylakeX kernels the largest gap seen is 3.6e-15
+# how far the band groups' 4-row products may round from one dense product
+# over all frames; with OpenBLAS 0.3.31 on SkylakeX kernels the largest gap
+# seen is 3.6e-15, over these tests' inputs and every channel of
+# make_corpus(10)
 ONE_PRODUCT_BOUND = 1e-13
 
 
@@ -150,6 +159,29 @@ def _assert_frontend_bits(samples, got):
     assert got.shape == (feature_frame_count(samples.size), N_MELS)
     assert got.tobytes() == _frame_by_frame_features(samples).tobytes()
     assert np.abs(got - _one_product_features(samples)).max(initial=0.0) <= ONE_PRODUCT_BOUND
+
+
+def test_band_groups_hold_the_whole_filterbank():
+    # each band is in one group, and the groups' weights put back at their
+    # bands and bins rebuild the filterbank: no nonzero weight is outside
+    # its group's bins
+    bank = mel_filterbank()
+    rebuilt = np.zeros_like(bank)
+    groups_of_band = np.zeros(N_MELS, dtype=int)
+    for bands, bins, weights in features._BAND_GROUPS:
+        rebuilt[bands, bins] = weights
+        groups_of_band[bands] += 1
+    assert (groups_of_band == 1).all()
+    assert rebuilt.tobytes() == bank.tobytes()
+
+
+def test_log_mel_agrees_with_the_dense_product():
+    rng = np.random.default_rng(19)
+    frames = np.logspace(-4, 0, 13)[:, None] * np.tanh(rng.standard_normal((13, WINDOW_SAMPLES)))
+    mixed = rng.integers(0, len(KINDS), len(frames))
+    for kinds in [*KINDS, mixed]:
+        gap = np.abs(features._log_mel(frames, kinds) - _dense_log_mel(frames, kinds)).max()
+        assert gap <= ONE_PRODUCT_BOUND, kinds
 
 
 def test_log_mel_rows_do_not_depend_on_the_batch():

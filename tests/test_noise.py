@@ -125,6 +125,20 @@ class TestMixAtSnr:
         p2 = float(np.mean((m2.samples - sig_a.samples) ** 2))
         assert p2 == pytest.approx(a * a * p1, rel=1e-6)
 
+    def test_clipped_mixture_counts_and_clips_every_sample_outside(self):
+        # noise 5 dB louder than a loud signal: many samples leave [-1, 1]
+        rng = np.random.default_rng(13)
+        sig = _rand_wave(rng, n=4000, amp=0.6)
+        noi = _rand_wave(rng, n=1500, amp=0.6)
+        mixed, clipped = mix_at_snr(sig, noi, -5.0, np.random.default_rng(14))
+        tiled = tile_to_length(noi, 4000, np.random.default_rng(14))
+        gain = math.sqrt(mean_power(sig) / (float(np.mean(tiled**2)) * 10.0 ** (-5.0 / 10.0)))
+        raw = sig.samples + gain * tiled
+        outside = sum(1 for v in raw.tolist() if v > 1.0 or v < -1.0)
+        assert (raw > 1.0).any() and (raw < -1.0).any()
+        assert clipped == outside
+        assert mixed.samples.tobytes() == np.clip(raw, -1.0, 1.0).tobytes()
+
     def test_memory_peak_is_the_mixture(self, traced_peak_bytes):
         # mixed in place in the tiled noise, whose power is summed a block
         # at a time, and handed to the Waveform with no copy

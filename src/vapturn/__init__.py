@@ -1,6 +1,6 @@
 """Noise-robust voice activity projection turn-taking engine."""
 
-from .audio import SAMPLE_RATE, StereoDialogue, VadTrack, Waveform, load_wav, save_wav
+from .audio import SAMPLE_RATE, VadTrack, Waveform, load_wav, save_wav
 from .codebook import p_now_pair
 from .endpointing import SttSimConfig, VapEndpointerConfig, arbitrate, stt_decide, vap_decide
 from .features import extract_features
@@ -9,6 +9,7 @@ from .noise import Condition, NoiseBank, sample_condition, split_dataset, synthe
 from .simulate import (
     DialogueScript,
     ResponseTimeRecord,
+    ScriptedDialogue,
     SessionStats,
     generate_scripted_dialogue,
     run_session,

@@ -110,33 +110,6 @@ def label_frame_count(n_samples: int) -> int:
     return -(-n_samples // SAMPLES_PER_LABEL_FRAME)
 
 
-@dataclass(frozen=True, eq=False)
-class StereoDialogue:
-    """Two aligned speaker channels with their activity label tracks.
-
-    Channel a is the user, channel b the robot.
-    """
-
-    channel_a: Waveform
-    channel_b: Waveform
-    vad_a: VadTrack
-    vad_b: VadTrack
-
-    def __post_init__(self):
-        if len(self.channel_a) != len(self.channel_b):
-            raise AudioError(
-                f"channel lengths differ: {len(self.channel_a)} vs {len(self.channel_b)}"
-            )
-        expect = label_frame_count(len(self.channel_a))
-        for name, track in (("vad_a", self.vad_a), ("vad_b", self.vad_b)):
-            if len(track) != expect:
-                raise AudioError(f"{name} has {len(track)} frames, expected {expect}")
-
-    @property
-    def duration_s(self) -> float:
-        return self.channel_a.duration_s
-
-
 def load_wav(path) -> Waveform:
     """Read a PCM 16-bit mono 16 kHz WAV file, normalizing samples by 1/32768."""
     p = Path(path)

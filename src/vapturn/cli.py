@@ -441,9 +441,12 @@ def cmd_simulate(resolved: dict, file_cfg: dict) -> int:
             "p_value": result.p_value,
         }
     _dump_json({"policies": stats_blocks, "comparisons": comparisons}, out / "stats.json")
+    # the detector's settings are checked but unread when no model is loaded
+    unread = dict.fromkeys(VAP_OPTIONS) if params is None else {}
     _dump_json(
         {
             **resolved,
+            **unread,
             "checkpoint": checkpoint,
             "policies": policies,
             "script": script.to_json_dict(),

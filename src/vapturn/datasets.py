@@ -60,13 +60,13 @@ def write_dataset(out_dir, n_items: int, script: DialogueScript, seed: int) -> d
     out.mkdir(parents=True, exist_ok=True)
     for item_id, item_script in zip(ids, session_scripts(n_items, script, seed)):
         sd = generate_scripted_dialogue(item_script)
-        save_wav(sd.stereo.channel_a, out / f"{item_id}_user.wav")
-        save_wav(sd.stereo.channel_b, out / f"{item_id}_robot.wav")
+        save_wav(sd.channel_a, out / f"{item_id}_user.wav")
+        save_wav(sd.channel_b, out / f"{item_id}_robot.wav")
         labels = {
             "frame_rate": LABEL_FRAME_RATE,
-            "n_frames": len(sd.stereo.vad_a),
-            "segments_a": _segments(sd.stereo.vad_a.frames),
-            "segments_b": _segments(sd.stereo.vad_b.frames),
+            "n_frames": len(sd.vad_a),
+            "segments_a": _segments(sd.vad_a.frames),
+            "segments_b": _segments(sd.vad_b.frames),
             "turns": [asdict(t) for t in sd.turns],
             "seed": item_script.seed,
         }
@@ -95,7 +95,6 @@ def load_item(data_dir, item_id: str) -> ScriptedDialogue:
     n_frames = labels["n_frames"]
     return ScriptedDialogue(
         turns=tuple(ScriptedTurn(**t) for t in labels["turns"]),
-        seed=labels["seed"],
         n_samples=len(user),
         vad_a=VadTrack(_frames_from_segments(labels["segments_a"], n_frames)),
         vad_b=VadTrack(_frames_from_segments(labels["segments_b"], n_frames)),
@@ -104,7 +103,7 @@ def load_item(data_dir, item_id: str) -> ScriptedDialogue:
 
 
 class Split(Sequence):
-    """The (item_id, StereoDialogue) items of one split of a written dataset.
+    """The (item_id, ScriptedDialogue) items of one split of a written dataset.
 
     Lazy: an item is read from disk each time it is indexed or iterated
     over, and nothing is cached, so a caller that keeps only part of each
@@ -122,12 +121,12 @@ class Split(Sequence):
         if isinstance(index, slice):
             return Split(self._base, self._ids[index])
         item_id = self._ids[index]
-        return item_id, load_item(self._base, item_id).stereo
+        return item_id, load_item(self._base, item_id)
 
 
 def load_dataset(data_dir, splits) -> dict:
     """The named splits of a written dataset as {split: Split}, lazy
-    sequences of (item_id, StereoDialogue). Reads only the manifest: an item
+    sequences of (item_id, ScriptedDialogue). Reads only the manifest: an item
     is read when its split is iterated, and no other split's files are. A
     missing or unsupported manifest, or a split it does not name, raises
     DatasetError."""

@@ -28,7 +28,7 @@ SESSION_SCRIPT = DialogueScript(n_turns=6)
 def make_corpus(n_dialogues: int = N_DIALOGUES) -> dict:
     """Two-turn dialogues split 8:1:1 in order, as {split: [(id, dialogue)]}."""
     scripts = session_scripts(n_dialogues, CORPUS_SCRIPT, seed=20)
-    items = [(f"d{i}", generate_scripted_dialogue(s).stereo) for i, s in enumerate(scripts)]
+    items = [(f"d{i}", generate_scripted_dialogue(s)) for i, s in enumerate(scripts)]
     n_valid = n_dialogues // 10
     n_train = n_dialogues - 2 * n_valid
     return {

@@ -21,7 +21,6 @@ from .audio import (
     LABEL_FRAME_RATE,
     SAMPLE_RATE,
     AudioError,
-    StereoDialogue,
     VadTrack,
     Waveform,
     label_frame_count,
@@ -144,20 +143,19 @@ class ScriptedTurn:
 @dataclass(frozen=True, eq=False)
 class ScriptedDialogue:
     """A dialogue's exact turn timeline and label tracks, with its two
-    channels rendered on first read.
+    aligned channels rendered on first read.
 
     ``channels`` holds the user's and the robot's channel, each a Waveform
-    or a function of no arguments that renders it. ``user`` is the user
-    channel. ``stereo`` pairs it with the robot channel, rendered after the
-    user's (generate_scripted_dialogue's functions draw from one generator
-    in that order), as a StereoDialogue. Each is made once, on first read.
-    The turns, the label tracks, ``n_samples`` and ``duration_s`` render
-    nothing. AudioError when a label track or a given Waveform does not
-    match ``n_samples``.
+    or a function of no arguments that renders it. ``channel_a`` is the
+    user channel, ``channel_b`` the robot's; each is made once, on first
+    read, and ``channel_b`` reads ``channel_a`` first
+    (generate_scripted_dialogue's functions draw from one generator in that
+    order). The turns, the label tracks, ``n_samples`` and ``duration_s``
+    render nothing. AudioError when a label track or a given Waveform does
+    not match ``n_samples``.
     """
 
     turns: tuple
-    seed: int
     n_samples: int
     vad_a: VadTrack
     vad_b: VadTrack
@@ -177,14 +175,19 @@ class ScriptedDialogue:
         return self.n_samples / SAMPLE_RATE
 
     @cached_property
-    def user(self) -> Waveform:
+    def channel_a(self) -> Waveform:
         return _realized(self.channels[0])
 
     @cached_property
-    def stereo(self) -> StereoDialogue:
-        user = self.user  # first: the robot channel's draws follow the user's
-        robot = _realized(self.channels[1])
-        return StereoDialogue(channel_a=user, channel_b=robot, vad_a=self.vad_a, vad_b=self.vad_b)
+    def channel_b(self) -> Waveform:
+        self.channel_a  # first: the robot channel's draws follow the user's
+        return _realized(self.channels[1])
+
+    @property
+    def stereo(self) -> "ScriptedDialogue":
+        """The dialogue itself, kept only for ``perfbench/``, which reads
+        ``channel_a`` through this name."""
+        return self
 
 
 def _realized(channel) -> Waveform:
@@ -247,9 +250,9 @@ def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
     Draws the timeline (turns, speech segments, both label tracks and the
     length) and returns it with the channels unrendered: the user channel
     is rendered from the generator state the timeline leaves when
-    ``user`` or ``stereo`` is first read, the robot channel from the state
-    after it when ``stereo`` is. The samples do not depend on which is read
-    first or whether ``user`` was read at all."""
+    ``channel_a`` or ``channel_b`` is first read, the robot channel from
+    the state after it when ``channel_b`` is. The samples do not depend on
+    which is read first."""
     rng = np.random.default_rng(script.seed)
     user_segments = []  # (start_s, dur_s, closing cue)
     robot_segments = []
@@ -305,7 +308,6 @@ def generate_scripted_dialogue(script: DialogueScript) -> ScriptedDialogue:
     n = int(round(total_s * SAMPLE_RATE))
     return ScriptedDialogue(
         turns=tuple(turns),
-        seed=script.seed,
         n_samples=n,
         vad_a=_label_track(user_segments, n),
         vad_b=_label_track(robot_segments, n),
@@ -464,7 +466,7 @@ def run_session(
     if params is None:
         return {"stt": stt}
     ticks = _race_ticks(dialogue, stt)
-    frames = replay(params, model_cfg, dialogue.user, ticks=ticks)
+    frames = replay(params, model_cfg, dialogue.channel_a, ticks=ticks)
     hybrid = _race(dialogue, frames, vap_cfg, stt_cfg, response_delay_s, seed)
     return {"stt": stt, "hybrid": hybrid, "vap": [r for r in hybrid if r.source == SOURCE_VAP]}
 

@@ -68,10 +68,6 @@ REPLAY_BLOCK = 32
 _SILENT_ROW = silent_features(1)[0]
 
 
-class ModelNotAttachedError(RuntimeError):
-    pass
-
-
 class MismatchedChunkError(ValueError):
     pass
 
@@ -169,22 +165,17 @@ class StreamContext:
     serialized. Emitted FrameResults are immutable and freely shareable.
     """
 
-    def __init__(self, params: dict | None, cfg: ModelConfig):
+    def __init__(self, params: dict, cfg: ModelConfig):
         self.cfg = cfg
-        self.params = params
+        self._params = params
+        # the robot encoding of the silent window, made on first use (not
+        # again when the arrays of params change in place)
+        self._silent_encoding = functools.cache(lambda: _silent_robot_encoding(params, cfg))
         self.reset()
 
     @property
-    def params(self) -> dict | None:
+    def params(self) -> dict:
         return self._params
-
-    @params.setter
-    def params(self, params: dict | None) -> None:
-        """Attach params; the robot encoding of the silent window is made for
-        them on first use (not again when their arrays change in place)."""
-        cfg = self.cfg
-        self._params = params
-        self._silent_encoding = functools.cache(lambda: _silent_robot_encoding(params, cfg))
 
     @property
     def samples_pending(self) -> int:
@@ -208,8 +199,6 @@ class StreamContext:
     def tick(self) -> FrameResult | None:
         """Consume 100 ms of queued audio and emit one prediction, or None if
         less than a hop of audio is pending."""
-        if self.params is None:
-            raise ModelNotAttachedError("no model parameters attached to this stream")
         if not self.tick_due:
             return None
         t0 = time.perf_counter()
@@ -313,8 +302,6 @@ def replay(params: dict, cfg: ModelConfig, wav_a, wav_b=None, ticks=None) -> lis
     in a block is the block's wall time divided by the windows in it; the row
     computation before the blocks is not in it.
     """
-    if params is None:
-        raise ModelNotAttachedError("no model parameters attached to replay")
     a, b = _channels(wav_a, wav_b)
     n_ticks = a.size // HOP_SAMPLES
     ticks = _checked_ticks(ticks, n_ticks)

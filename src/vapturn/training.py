@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio import StereoDialogue
 from .codebook import frame_targets
 from .features import extract_features, silent_features
 from .model import (
@@ -24,6 +23,7 @@ from .model import (
     _forward,
 )
 from .noise import NoiseBank, TRAIN_SNRS_DB, Condition, apply_condition, check_snr, sample_condition
+from .simulate import ScriptedDialogue
 
 CHECKPOINT_VERSION = 1
 # a history row: the epoch, then the train and the valid LossBreakdown in field
@@ -69,7 +69,7 @@ class AugmentConfig:
             raise ValueError("zero_robot_prob must be in [0, 1]")
 
 
-def dialogue_frames(dialogue: StereoDialogue) -> FrameBatch:
+def dialogue_frames(dialogue: ScriptedDialogue) -> FrameBatch:
     """Features and targets for every 100 ms frame of one dialogue."""
     feats_a = extract_features(dialogue.channel_a)
     feats_b = extract_features(dialogue.channel_b)

@@ -399,13 +399,16 @@ class TestSimulate:
         assert main([
             "simulate", "--out", str(out), "--policies", "stt",
             "--checkpoint", str(tmp_path / "nonexistent.npz"),
-            "--n-dialogues", "1", "--turns", "1", "--seed", "5",
+            "--n-dialogues", "1", "--turns", "1", "--seed", "5", "--theta", "0.9",
         ]) == EXIT_OK
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "checkpoint" in line] == [
             f"checkpoint {tmp_path / 'nonexistent.npz'} not used: policy stt needs no model"
         ]
-        assert json.loads((out / "config.json").read_text())["checkpoint"] is None
+        config = json.loads((out / "config.json").read_text())
+        # no model is loaded, so the detector's settings are not read either
+        for key in ("checkpoint", "theta", "consecutive_k", "min_user_speech_ms"):
+            assert config[key] is None
 
     def test_model_policy_requires_checkpoint(self, tmp_path):
         assert main([

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vapturn import datasets, simulate
-from vapturn.audio import AudioError
+from vapturn.audio import AudioError, Waveform, load_wav, save_wav
 from vapturn.datasets import DatasetError, load_dataset, load_item, write_dataset
 from vapturn.simulate import DialogueScript, ScriptedTurn, generate_scripted_dialogue
 from vapturn.stats import SampleDist
@@ -48,9 +48,9 @@ class TestWriteDataset:
         out, manifest = written
         item_id = manifest["splits"]["train"][0]
         loaded = load_item(out, item_id)
-        assert loaded.stereo.duration_s > 0
+        assert loaded.duration_s > 0
         assert len(loaded.turns) == script.n_turns
-        assert len(loaded.stereo.vad_a) == len(loaded.stereo.vad_b)
+        assert len(loaded.vad_a) == len(loaded.vad_b)
 
     def test_reload_matches_generation(self, written):
         out, manifest = written
@@ -62,8 +62,8 @@ class TestWriteDataset:
             DialogueScript.from_json_dict({**manifest["script"], "seed": labels["seed"]})
         )
         # waveforms go through 16-bit quantization on disk
-        assert np.max(np.abs(loaded.stereo.channel_a.samples - regen.stereo.channel_a.samples)) <= 1 / 32768
-        assert np.array_equal(loaded.stereo.vad_a.frames, regen.stereo.vad_a.frames)
+        assert np.max(np.abs(loaded.channel_a.samples - regen.channel_a.samples)) <= 1 / 32768
+        assert np.array_equal(loaded.vad_a.frames, regen.vad_a.frames)
         assert loaded.turns == regen.turns
 
     def test_labels_of_another_length_are_refused(self, tmp_path, script):
@@ -72,6 +72,14 @@ class TestWriteDataset:
         labels = json.loads(path.read_text())
         path.write_text(json.dumps({**labels, "n_frames": labels["n_frames"] + 1}))
         with pytest.raises(AudioError, match="vad_a has"):
+            load_item(tmp_path, "dlg0000")
+
+    def test_channels_of_another_length_are_refused(self, tmp_path, script):
+        write_dataset(tmp_path, 10, script, seed=4)
+        path = tmp_path / "dlg0000_robot.wav"
+        robot = load_wav(path)
+        save_wav(Waveform(robot.samples[:-1]), path)
+        with pytest.raises(AudioError, match="channel has"):
             load_item(tmp_path, "dlg0000")
 
     @pytest.mark.parametrize("turn_class", [ScriptedTurn, _ExtendedTurn])
@@ -86,8 +94,8 @@ class TestWriteDataset:
         splits = load_dataset(out, ["train", "valid", "test"])
         assert set(splits) == {"train", "valid", "test"}
         assert len(splits["train"]) == 8
-        item_id, stereo = splits["train"][0]
-        assert stereo.duration_s > 0
+        item_id, dialogue = splits["train"][0]
+        assert dialogue.duration_s > 0
 
     def test_splits_read_no_wav_until_used(self, written, monkeypatch):
         out, manifest = written

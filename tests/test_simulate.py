@@ -56,15 +56,15 @@ class TestGeneration:
     def test_zero_turns_silent(self):
         d = generate_scripted_dialogue(DialogueScript(n_turns=0, seed=0))
         assert d.turns == ()
-        assert not d.stereo.vad_a.frames.any()
-        assert not d.stereo.vad_b.frames.any()
-        assert np.all(d.stereo.channel_a.samples == 0)
+        assert not d.vad_a.frames.any()
+        assert not d.vad_b.frames.any()
+        assert np.all(d.channel_a.samples == 0)
 
     def test_deterministic(self):
         a = generate_scripted_dialogue(DialogueScript(n_turns=3, seed=9))
         b = generate_scripted_dialogue(DialogueScript(n_turns=3, seed=9))
-        assert np.array_equal(a.stereo.channel_a.samples, b.stereo.channel_a.samples)
-        assert np.array_equal(a.stereo.vad_a.frames, b.stereo.vad_a.frames)
+        assert np.array_equal(a.channel_a.samples, b.channel_a.samples)
+        assert np.array_equal(a.vad_a.frames, b.vad_a.frames)
         assert a.turns == b.turns
 
     def test_hold_cue_changes_only_the_closing_burst_of_held_groups(self, monkeypatch):
@@ -79,24 +79,24 @@ class TestGeneration:
 
         monkeypatch.setattr(simulate, "render_burst", record)
         script = DialogueScript(n_turns=6, continuation_prob=1.0, seed=11)
-        # the channels are rendered when .stereo is first read
+        # the channels are rendered when channel_b is first read
         off = generate_scripted_dialogue(script)
-        off_stereo = off.stereo
+        off.channel_b
         cues.clear()
         on = generate_scripted_dialogue(replace(script, hold_cue_prob=1.0))
-        on_stereo = on.stereo
+        on.channel_b
         assert on.turns == off.turns
         assert all(turn.has_continuation for turn in on.turns)
         for name in ("vad_a", "vad_b"):
-            assert np.array_equal(getattr(on_stereo, name).frames, getattr(off_stereo, name).frames)
-        assert np.array_equal(on_stereo.channel_b.samples, off_stereo.channel_b.samples)
+            assert np.array_equal(getattr(on, name).frames, getattr(off, name).frames)
+        assert np.array_equal(on.channel_b.samples, off.channel_b.samples)
         # user bursts are rendered first, in time order, one per label run
-        labels = np.r_[False, on_stereo.vad_a.frames, False]
+        labels = np.r_[False, on.vad_a.frames, False]
         edges = np.flatnonzero(np.diff(labels.astype(np.int8))).reshape(-1, 2) * SAMPLES_PER_LABEL_FRAME
         assert len(cues) == len(edges) + len(on.turns)  # one robot burst per turn
         user_cues = cues[: len(edges)]
         assert user_cues.count("hold") == len(on.turns)
-        differs = on_stereo.channel_a.samples != off_stereo.channel_a.samples
+        differs = on.channel_a.samples != off.channel_a.samples
         held = np.zeros_like(differs)
         for (start, end), cue in zip(edges, user_cues):
             held[start:end] = cue == "hold"
@@ -106,8 +106,8 @@ class TestGeneration:
     def test_labels_consistent_with_energy_vad(self, dialogue):
         # generated labels must agree with an energy detector on the clean channel
         for chan, vad in (
-            (dialogue.stereo.channel_a, dialogue.stereo.vad_a),
-            (dialogue.stereo.channel_b, dialogue.stereo.vad_b),
+            (dialogue.channel_a, dialogue.vad_a),
+            (dialogue.channel_b, dialogue.vad_b),
         ):
             detected = energy_labels(chan.samples, threshold_db=-45.0)
             agreement = float(np.mean(detected == vad.frames))
@@ -123,7 +123,7 @@ class TestGeneration:
             t_prev = turn.robot_end_s
 
     def test_labels_match_turn_boundaries(self, dialogue):
-        frames = dialogue.stereo.vad_a.frames
+        frames = dialogue.vad_a.frames
         for turn in dialogue.turns:
             end_frame = int(round(turn.user_end_s * 100))
             assert frames[end_frame - 1]
@@ -253,11 +253,11 @@ class TestLazyRendering:
         script = DialogueScript(n_turns=3, seed=5)
         lazy = generate_scripted_dialogue(script)
         rendered = generate_scripted_dialogue(script)
-        rendered.stereo
+        rendered.channel_b
         records = run_session(lazy, **kwargs)
         assert records == run_session(rendered, **kwargs)
         assert {r.source for r in records["hybrid"]} == {SOURCE_VAP, SOURCE_STT}
-        assert "stereo" not in vars(lazy)
+        assert "channel_b" not in vars(lazy)
 
     @pytest.mark.parametrize(
         "script",
@@ -267,23 +267,20 @@ class TestLazyRendering:
         ],
         ids=["no-turns", "cued"],
     )
-    def test_stereo_bits_do_not_depend_on_reading_user_first(self, script):
-        direct = generate_scripted_dialogue(script).stereo
-        dialogue = generate_scripted_dialogue(script)
-        user = dialogue.user
-        stereo = dialogue.stereo
-        assert stereo.channel_a is user
+    def test_channel_bits_do_not_depend_on_read_order(self, script):
+        a_first = generate_scripted_dialogue(script)
+        a_first.channel_a
+        b_first = generate_scripted_dialogue(script)
+        b_first.channel_b
         for name in ("channel_a", "channel_b"):
-            assert np.array_equal(getattr(stereo, name).samples, getattr(direct, name).samples)
-        for name in ("vad_a", "vad_b"):
-            assert np.array_equal(getattr(stereo, name).frames, getattr(direct, name).frames)
+            assert np.array_equal(getattr(b_first, name).samples, getattr(a_first, name).samples)
 
     def test_user_channel_memory_peak_is_the_channel(self, traced_peak_bytes):
         # the bursts are written into the channel, which the Waveform keeps
         # with no copy; a burst's temporaries (about 3 MB for the longest)
         # are small beside a dialogue of 12 turns
         dialogue = generate_scripted_dialogue(DialogueScript(n_turns=12, seed=11))
-        assert traced_peak_bytes(lambda: dialogue.user) < 1.5 * dialogue.n_samples * 8
+        assert traced_peak_bytes(lambda: dialogue.channel_a) < 1.5 * dialogue.n_samples * 8
 
 
 class TestRunSession:
@@ -399,7 +396,7 @@ class TestRunSession:
         if vap_cfg.theta < 0.6:
             assert {r.source for r in selected["hybrid"]} == {SOURCE_VAP, SOURCE_STT}
         (ticks,) = requested
-        assert 0 < len(ticks) < dialogue.stereo.channel_a.samples.size // 1600
+        assert 0 < len(ticks) < dialogue.n_samples // 1600
         turns = dialogue.turns
         for tick in ticks:
             t = tick * 0.1

@@ -3,13 +3,13 @@ import json
 import math
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import vapturn.training as training
 from vapturn import datasets
-from vapturn.audio import StereoDialogue
 from vapturn.codebook import frame_targets
 from vapturn.model import FrameBatch, ModelConfig, init_params
 from vapturn.noise import Condition, apply_condition, synthetic_noise_bank
@@ -36,7 +36,7 @@ TINY_SCRIPT = DialogueScript(n_turns=1, user_reaction_s=SampleDist("normal", 1.0
 
 def _tiny_corpus(n=8, seed=3):
     scripts = session_scripts(n, TINY_SCRIPT, seed=seed)
-    return [(f"d{i}", generate_scripted_dialogue(s).stereo) for i, s in enumerate(scripts)]
+    return [(f"d{i}", generate_scripted_dialogue(s)) for i, s in enumerate(scripts)]
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ def _count_reads(monkeypatch, on_read=None) -> Counter:
         reads[item_id] += 1
         item = load_item(base, item_id)
         if on_read is not None:
-            on_read(item.stereo)
+            on_read(item)
         return item
 
     monkeypatch.setattr(datasets, "load_item", counted)
@@ -333,7 +333,7 @@ class TestEvalPerSnr:
                 if not math.isinf(snr):
                     cond = Condition(bank.names[int(rng.integers(len(bank)))], snr)
                     user, _ = apply_condition(dialogue.channel_a, cond, bank, rng)
-                    mixed = StereoDialogue(user, dialogue.channel_b, dialogue.vad_a, dialogue.vad_b)
+                    mixed = replace(dialogue, channels=(user, dialogue.channel_b))
                 ref_prov.append((item_id, cond, seed))
                 batches.append(dialogue_frames(mixed))
             ref_table[snr] = training._eval_loss(params, cfg, batches).vap

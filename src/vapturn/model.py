@@ -190,9 +190,12 @@ def clone_params(params: dict) -> dict:
 # primitives
 #
 # Forward primitives write only into arrays they allocate, never into their
-# inputs. With train they also return what their backward needs and cannot
-# recompute: a LayerNorm output is never kept, since _ln_out rebuilds it from
-# the LayerNorm's (xhat, inv) with the same bits.
+# inputs. With train they also return what their backward cannot rebuild
+# cheaply. A LayerNorm output is never kept: _ln_out rebuilds it from the
+# LayerNorm's (xhat, inv) with the same bits. Nor are attention's q, k, v and
+# context or the FFN's hidden layer: backward recomputes each, one product
+# from those rebuilt inputs, with the forward's own operations and so with
+# its bits. Attention keeps its probabilities, which a softmax makes.
 
 
 def _mean(x: np.ndarray) -> np.ndarray:
@@ -293,15 +296,15 @@ def _attn_fwd(q_in, kv_in, p, base, heads, train=False):
     projected once and broadcast in the products, and the output has batch
     B. With fewer query rows than key/value rows, the queries are the last
     t_q positions of the sequence (the causal mask and distance penalty are
-    those rows of the full-length bias). With train, also returns the cache
-    (q, k, v, probabilities, context); only full-row caches (t_q == t_kv) of
-    equal batches are valid input to _attn_bwd.
+    those rows of the full-length bias). With train, also returns the
+    attention probabilities as its cache; only those of full rows
+    (t_q == t_kv) and equal batches are valid input to _attn_bwd.
     """
     t_q, d = q_in.shape[1:]
     t_kv = kv_in.shape[1]
-    q = _split_heads(_affine(q_in, p[f"{base}.Wq"], p[f"{base}.bq"]), heads)
-    k = _split_heads(_affine(kv_in, p[f"{base}.Wk"], p[f"{base}.bk"]), heads)
-    v = _split_heads(_affine(kv_in, p[f"{base}.Wv"], p[f"{base}.bv"]), heads)
+    q = _attn_proj(q_in, p, base, "q", heads)
+    k = _attn_proj(kv_in, p, base, "k", heads)
+    v = _attn_proj(kv_in, p, base, "v", heads)
     scores = q @ k.transpose(0, 1, 3, 2)
     scores /= math.sqrt(d // heads)
     scores += _score_bias(t_kv, heads)[None, :, t_kv - t_q :]
@@ -310,25 +313,33 @@ def _attn_fwd(q_in, kv_in, p, base, heads, train=False):
     attn /= attn.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(attn @ v)
     out = _affine(ctx, p[f"{base}.Wo"], p[f"{base}.bo"])
-    return out, ((q, k, v, attn, ctx) if train else None)
+    return out, (attn if train else None)
 
 
-def _attn_bwd(dout, cache, q_in, kv_in, p, base, heads, grads):
-    """Backward of _attn_fwd, given its inputs q_in and kv_in again."""
-    q, k, v, attn, ctx = cache
+def _attn_proj(x, p, base, name, heads):
+    """Head-major projection x @ W{name} + b{name} of attention base."""
+    return _split_heads(_affine(x, p[f"{base}.W{name}"], p[f"{base}.b{name}"]), heads)
+
+
+def _attn_bwd(dout, attn, q_in, kv_in, p, base, heads, grads):
+    """Backward of _attn_fwd from its probabilities attn and its inputs
+    q_in and kv_in: v and the context, then q and k, are recomputed as the
+    forward made them, each only while its gradients need it."""
     dh = dout.shape[-1] // heads
-    grads[f"{base}.Wo"] += _mat_grad(ctx, dout)
+    v = _attn_proj(kv_in, p, base, "v", heads)
+    grads[f"{base}.Wo"] += _mat_grad(_merge_heads(attn @ v), dout)
     grads[f"{base}.bo"] += dout.sum(axis=(0, 1))
     dctx = _split_heads(dout @ p[f"{base}.Wo"].T, heads)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
+    del v
     dv = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx)
     # dscores = attn * (dattn - rowsum(dattn * attn)) / sqrt(dh), built in place in dattn
     dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
     dattn *= attn
     dattn /= math.sqrt(dh)
     dscores = dattn
-    dq = _merge_heads(dscores @ k)
-    dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ q)
+    dq = _merge_heads(dscores @ _attn_proj(kv_in, p, base, "k", heads))
+    dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ _attn_proj(q_in, p, base, "q", heads))
     dq_in = dq @ p[f"{base}.Wq"].T
     dkv_in = dk @ p[f"{base}.Wk"].T
     dkv_in += dv @ p[f"{base}.Wv"].T
@@ -341,15 +352,20 @@ def _attn_bwd(dout, cache, q_in, kv_in, p, base, heads, grads):
     return dq_in, dkv_in
 
 
-def _ffn_fwd(x, p, base, train=False):
-    """Two-layer ReLU FFN; with train, also returns its post-ReLU hidden layer."""
+def _ffn_hidden(x, p, base):
+    """The FFN's post-ReLU hidden layer."""
     hid = _affine(x, p[f"{base}.W1"], p[f"{base}.b1"])
-    np.maximum(hid, 0.0, out=hid)
-    return _affine(hid, p[f"{base}.W2"], p[f"{base}.b2"]), (hid if train else None)
+    return np.maximum(hid, 0.0, out=hid)
 
 
-def _ffn_bwd(dout, hid, x, p, base, grads):
-    """Backward of _ffn_fwd from its hidden layer hid and input x."""
+def _ffn_fwd(x, p, base):
+    """Two-layer ReLU FFN; its backward needs no cache."""
+    return _affine(_ffn_hidden(x, p, base), p[f"{base}.W2"], p[f"{base}.b2"])
+
+
+def _ffn_bwd(dout, x, p, base, grads):
+    """Backward of _ffn_fwd from its input x, whose hidden layer it recomputes."""
+    hid = _ffn_hidden(x, p, base)
     grads[f"{base}.W2"] += _mat_grad(hid, dout)
     grads[f"{base}.b2"] += dout.sum(axis=(0, 1))
     dhid = dout @ p[f"{base}.W2"].T
@@ -364,15 +380,16 @@ def _self_block_fwd(x, p, base, heads, train=False):
     x1, att_cache = _attn_fwd(a1, a1, p, f"{base}.attn", heads, train)
     x1 += x
     a2, ln2_cache = _ln_fwd(x1, p, f"{base}.ln2")
-    out, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn", train)
+    out = _ffn_fwd(a2, p, f"{base}.ffn")
     out += x1
-    return out, ((ln1_cache, att_cache, ln2_cache, ffn_cache) if train else None)
+    return out, ((ln1_cache, att_cache, ln2_cache) if train else None)
 
 
 def _self_block_bwd(dout, cache, p, base, heads, grads):
-    ln1_cache, att_cache, ln2_cache, ffn_cache = cache
+    ln1_cache, att_cache, ln2_cache = cache
     a2 = _ln_out(ln2_cache[0], p, f"{base}.ln2")
-    da2 = _ffn_bwd(dout, ffn_cache, a2, p, f"{base}.ffn", grads)
+    da2 = _ffn_bwd(dout, a2, p, f"{base}.ffn", grads)
+    del a2
     dx1 = _ln_bwd(da2, ln2_cache, p, f"{base}.ln2", grads)
     dx1 += dout
     a1 = _ln_out(ln1_cache[0], p, f"{base}.ln1")
@@ -391,15 +408,16 @@ def _cross_block_fwd(x_self, x_other, p, base, heads, train=False):
     y, att_cache = _attn_fwd(q, kv, p, f"{base}.attn", heads, train)
     y += x_self
     a2, ln2_cache = _ln_fwd(y, p, f"{base}.ln2")
-    out, ffn_cache = _ffn_fwd(a2, p, f"{base}.ffn", train)
+    out = _ffn_fwd(a2, p, f"{base}.ffn")
     out += y
-    return out, ((lnq_cache, lnkv_cache, att_cache, ln2_cache, ffn_cache) if train else None)
+    return out, ((lnq_cache, lnkv_cache, att_cache, ln2_cache) if train else None)
 
 
 def _cross_block_bwd(dout, cache, p, base, heads, grads):
-    lnq_cache, lnkv_cache, att_cache, ln2_cache, ffn_cache = cache
+    lnq_cache, lnkv_cache, att_cache, ln2_cache = cache
     a2 = _ln_out(ln2_cache[0], p, f"{base}.ln2")
-    da2 = _ffn_bwd(dout, ffn_cache, a2, p, f"{base}.ffn", grads)
+    da2 = _ffn_bwd(dout, a2, p, f"{base}.ffn", grads)
+    del a2
     dy = _ln_bwd(da2, ln2_cache, p, f"{base}.ln2", grads)
     dy += dout
     q = _ln_out(lnq_cache[0], p, f"{base}.lnq")
@@ -474,11 +492,12 @@ def _forward(params, feats_a, feats_b, cfg: ModelConfig, train: bool = False):
 
     The train cache is a list that _backward consumes. Per channel it holds
     the standardized features and, per self block, each LayerNorm's
-    (xhat, inv), the attention's (q, k, v, probabilities, context) and the
-    FFN's post-ReLU hidden layer; each cross block holds the same; and the
-    final LayerNorms hold their (xhat, inv). No LayerNorm output is kept:
-    backward recomputes the attention and FFN inputs and the final ha, hb
-    and fused with _ln_out, bit for bit.
+    (xhat, inv) and the attention probabilities; each cross block holds the
+    same; and the final LayerNorms hold their (xhat, inv). Nothing a block
+    can rebuild from these is kept: backward recomputes the attention and
+    FFN inputs and the final ha, hb and fused with _ln_out, and from them
+    attention's q, k, v and context and the FFN's hidden layer, with the
+    forward's operations on the same shapes, so bit for bit.
     """
     if feats_a.shape != feats_b.shape:
         raise ShapeMismatchError(f"{feats_a.shape} vs {feats_b.shape}")
@@ -543,12 +562,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function with no overflow: both branches take exp(-|z|),
+    which for z < 0 is exp(z) bit for bit."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def forward(params: dict, batch: FrameBatch, cfg: ModelConfig) -> PredictionOutput:

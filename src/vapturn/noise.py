@@ -96,8 +96,13 @@ def tile_to_length(noise: Waveform, n_samples: int, rng: np.random.Generator | N
     if src.size == 0:
         raise SilentAudioError("cannot tile an empty noise clip")
     offset = int(rng.integers(src.size)) if rng is not None else 0
-    # sample i is src[(offset + i) % src.size]
-    return np.resize(np.roll(src, -offset), n_samples)
+    # sample i is src[(offset + i) % src.size], copied once into the output
+    out = np.empty(n_samples)
+    head = src[offset : offset + n_samples]
+    out[: head.size] = head
+    for pos in range(head.size, n_samples, src.size):
+        out[pos : pos + src.size] = src[: n_samples - pos]
+    return out
 
 
 def mix_at_snr(
@@ -105,19 +110,22 @@ def mix_at_snr(
     noise: Waveform,
     snr_db: float,
     rng: np.random.Generator | None = None,
+    signal_power: float | None = None,
 ) -> tuple[Waveform, int]:
     """Superimpose noise onto a signal at an exact target SNR.
 
     The signal is the loudness reference: gain is applied to the noise only,
     g = sqrt(P_signal / (P_noise * 10^(snr/10))), so the measured SNR of the two
     addends equals the target before clipping. snr_db = inf returns the signal
-    unchanged; NaN and -inf raise ValueError. Returns the mixture and the
-    number of samples clipped to [-1, 1].
+    unchanged; NaN and -inf raise ValueError. signal_power, when given, is
+    mean_power(signal), computed once by a caller that mixes one signal
+    many times. Returns the mixture and the number of samples clipped to
+    [-1, 1].
     """
     check_snr(snr_db)
     if snr_db == CLEAN:
         return signal, 0
-    p_sig = mean_power(signal)
+    p_sig = mean_power(signal) if signal_power is None else signal_power
     if p_sig == 0.0:
         raise SilentAudioError("signal is silent; SNR undefined")
     mixed = tile_to_length(noise, len(signal), rng)
@@ -155,11 +163,13 @@ def apply_condition(
     cond: Condition,
     bank: NoiseBank,
     rng: np.random.Generator | None = None,
+    signal_power: float | None = None,
 ) -> tuple[Waveform, int]:
-    """Mix the signal with the condition's noise clip at the condition's SNR."""
+    """Mix the signal with the condition's noise clip at the condition's SNR
+    (signal_power as for mix_at_snr)."""
     if cond.is_clean:
         return signal, 0
-    return mix_at_snr(signal, bank.get(cond.noise_name), cond.snr_db, rng)
+    return mix_at_snr(signal, bank.get(cond.noise_name), cond.snr_db, rng, signal_power)
 
 
 def split_dataset(items, seed: int) -> tuple[list, list, list]:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .audio import mean_power
 from .codebook import frame_targets
 from .features import extract_features, silent_features
 from .model import (
@@ -139,27 +140,40 @@ def _eval_loss(params, cfg: ModelConfig, batches, batch_size: int = 64) -> LossB
     return LossBreakdown(*(tot / n_total))
 
 
-def _prepare_items(items) -> list:
-    """(item id, user waveform, dialogue_frames) per (item id, dialogue)
-    item, in one pass over items: everything augmentation and noisy
-    evaluation rows do not touch, computed once. Of each dialogue's audio
-    only the user channel is kept: they mix noise into it."""
-    return [(item_id, dialogue.channel_a, dialogue_frames(dialogue)) for item_id, dialogue in items]
+def _prepare_items(items, noisy: bool):
+    """(item id, user waveform, dialogue_frames, user power) per
+    (item id, dialogue) item, in one pass over items, one item at a time:
+    everything augmentation and noisy evaluation rows do not touch,
+    computed once. The user power is the user channel's mean_power when
+    noise will be mixed into it (noisy), else None. Of each dialogue's
+    audio only the user channel is yielded, and nothing here keeps it, so
+    an item's audio is freed once the caller drops it."""
+    for item_id, dialogue in items:
+        user = dialogue.channel_a
+        yield item_id, user, dialogue_frames(dialogue), (mean_power(user) if noisy else None)
 
 
-def _epoch_windows(prepared, augment: AugmentConfig, bank, cfg: ModelConfig,
+def _noisy_user(frames: FrameBatch, user, cond: Condition, bank, rng, power: float) -> FrameBatch:
+    """frames with the features of the user channel mixed with cond's noise."""
+    mixed, _ = apply_condition(user, cond, bank, rng, power)
+    return replace(frames, features_a=extract_features(mixed))
+
+
+def _epoch_windows(prepared, train_items, augment: AugmentConfig, bank, cfg: ModelConfig,
                    stride: int, seed: int, epoch: int) -> list:
-    """Fresh augmentation draw for every item, reusing cached clean features."""
+    """Fresh augmentation draw for every item, reusing its cached clean
+    features and user power; a noisy draw reads the item's user channel
+    again from train_items."""
     windows = []
-    for item_idx, (_, user, frames) in enumerate(prepared):
+    for item_idx, (frames, power) in enumerate(prepared):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(epoch, item_idx))
         )
         if bank is not None:
             cond = sample_condition(rng, bank, augment.snr_set)
             if not cond.is_clean:
-                mixed, _ = apply_condition(user, cond, bank, rng)
-                frames = replace(frames, features_a=extract_features(mixed))
+                # the user channel, read again and held for this mix only
+                frames = _noisy_user(frames, train_items[item_idx][1].channel_a, cond, bank, rng, power)
         if rng.random() < augment.zero_robot_prob:
             frames = replace(frames, features_b=silent_features(frames.n_frames))
         windows.extend(slice_windows(frames, cfg.context_frames, stride))
@@ -205,13 +219,19 @@ def fit(
 ):
     """Minibatch gradient descent with per-epoch multi-condition augmentation.
 
+    train_items and valid_items hold (item id, dialogue) items. Each set is
+    read in one pass that keeps the features and targets of every item and
+    none of its audio. train_items must be a sequence that can be read
+    again (a list, a datasets.Split): each noisy draw reads the user
+    channel of its item again, as train_items[i][1].channel_a.
+
     Returns (best-validation parameters, history). History row 0 is the
     pre-training evaluation; training rows report the running loss over the
     augmented batches seen that epoch. Fully deterministic for a fixed seed.
     """
     check_schedule(epochs, lr, lr_decay, batch_size, window_stride)
     # one pass over each set, which may read its items from disk as it goes
-    prepared = _prepare_items(train_items)
+    prepared = [(frames, power) for _, _, frames, power in _prepare_items(train_items, bank is not None)]
     valid_frames = [dialogue_frames(dialogue) for _, dialogue in valid_items]
     if not prepared or not valid_frames:
         raise EmptyDatasetError("train and valid sets must be non-empty")
@@ -219,7 +239,7 @@ def fit(
     history = []
 
     valid_bd = _eval_loss(params, cfg, valid_frames)
-    train_bd = _eval_loss(params, cfg, [frames for _, _, frames in prepared])
+    train_bd = _eval_loss(params, cfg, [frames for frames, _ in prepared])
     history.append(dict(zip(HISTORY_COLUMNS, (0, *train_bd, *valid_bd))))
     best = (valid_bd.total, clone_params(params))
     if log:
@@ -227,7 +247,7 @@ def fit(
 
     order_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     for epoch in range(1, epochs + 1):
-        windows = _epoch_windows(prepared, augment, bank, cfg, window_stride, seed, epoch)
+        windows = _epoch_windows(prepared, train_items, augment, bank, cfg, window_stride, seed, epoch)
         if not windows:
             raise EmptyDatasetError("no usable training windows (dialogues too short?)")
         order = order_rng.permutation(len(windows))
@@ -263,6 +283,21 @@ def fit(
     return best[1], history
 
 
+def _snr_rows(item_idx: int, item, snr_list, bank, seed: int) -> list:
+    """(item id, condition, frames) at each SNR row of one _prepare_items
+    item: its noise drawn per (seed, row, item), a clean row its clean frames."""
+    item_id, user, clean, power = item
+    out = []
+    for row_idx, snr in enumerate(snr_list):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(row_idx, item_idx)))
+        cond, frames = Condition("none", math.inf), clean
+        if not math.isinf(snr):
+            cond = Condition(bank.names[int(rng.integers(len(bank)))], float(snr))
+            frames = _noisy_user(clean, user, cond, bank, rng, power)
+        out.append((item_id, cond, frames))
+    return out
+
+
 def eval_per_snr(
     models,
     test_items,
@@ -274,12 +309,13 @@ def eval_per_snr(
     noise on the user channel only.
 
     Noise draws are deterministic per (seed, SNR row, item) and shared by all
-    models. The items are read in one pass, after the SNR rows are checked;
-    the robot and clean user features and the targets are computed once per
-    item, and of its audio only the user channel is kept. Each noisy row
-    extracts only its mixed user channel, once for all models. bank may be
-    None only when every row is clean. Returns one loss table {snr: L_vap}
-    per model and the condition provenance rows.
+    models. The items are read in one pass, after the SNR rows are checked,
+    and every SNR row of an item is built while that item is loaded: its
+    robot and clean user features and its targets are computed once, each
+    noisy row extracts only its mixed user channel, once for all models,
+    and only the rows' features are kept, no audio. bank may be None only
+    when every row is clean. Returns one loss table {snr: L_vap} per model
+    and the condition provenance rows, row by row.
     """
     models = list(models)
     for snr in snr_list:
@@ -288,26 +324,20 @@ def eval_per_snr(
             raise ValueError(f"SNR row {snr} needs a noise bank, got None")
     if len(set(snr_list)) < len(snr_list):
         raise ValueError(f"snr_list {snr_list} repeats a value; each row is keyed by its SNR")
-    prepared = _prepare_items(test_items)
-    if not prepared:
+    noisy = not all(math.isinf(snr) for snr in snr_list)
+    per_item = [
+        _snr_rows(item_idx, item, snr_list, bank, seed)
+        for item_idx, item in enumerate(_prepare_items(test_items, noisy))
+    ]
+    if not per_item:
         raise EmptyDatasetError("empty test set")
+    rows = list(zip(*per_item))  # rows[r][i]: (item id, condition, frames) of item i at SNR row r
     tables = [{} for _ in models]
-    provenance = []
-    for row_idx, snr in enumerate(snr_list):
-        batches = []
-        for item_idx, (item_id, user, frames) in enumerate(prepared):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(row_idx, item_idx))
-            )
-            cond = Condition("none", math.inf)
-            if not math.isinf(snr):
-                cond = Condition(bank.names[int(rng.integers(len(bank)))], float(snr))
-                mixed, _ = apply_condition(user, cond, bank, rng)
-                frames = replace(frames, features_a=extract_features(mixed))
-            provenance.append((item_id, cond, seed))
-            batches.append(frames)
+    for snr, row in zip(snr_list, rows):
+        batches = [frames for _, _, frames in row]
         for table, (params, cfg) in zip(tables, models):
             table[snr] = _eval_loss(params, cfg, batches).vap
+    provenance = [(item_id, cond, seed) for row in rows for item_id, cond, _ in row]
     return tables, provenance
 
 

@@ -196,8 +196,8 @@ class TestFit:
 
 
 def _count_reads(monkeypatch, on_read=None) -> Counter:
-    """Count datasets.load_item calls per item id; on_read(dialogue) sees
-    each loaded dialogue."""
+    """Count datasets.load_item calls per item id; on_read(item_id, dialogue)
+    sees each loaded dialogue."""
     reads = Counter()
     load_item = datasets.load_item
 
@@ -205,7 +205,7 @@ def _count_reads(monkeypatch, on_read=None) -> Counter:
         reads[item_id] += 1
         item = load_item(base, item_id)
         if on_read is not None:
-            on_read(item)
+            on_read(item_id, item)
         return item
 
     monkeypatch.setattr(datasets, "load_item", counted)
@@ -213,17 +213,29 @@ def _count_reads(monkeypatch, on_read=None) -> Counter:
 
 
 class TestLazySplits:
-    """fit and eval_per_snr read a lazy split once and keep only the user
-    channel of its audio."""
+    """fit and eval_per_snr read a lazy split in one pass and keep none of
+    its audio; fit reads a train item's user channel again for each noisy
+    draw."""
 
-    def test_fit_reads_each_item_once(self, written, monkeypatch):
+    def test_fit_reads_each_item_once_and_again_per_noisy_draw(self, written, monkeypatch):
         splits = datasets.load_dataset(written, ["train", "valid"])
-        reads = _count_reads(monkeypatch)
+        owner = weakref.WeakKeyDictionary()  # user Waveform -> the item it was read for
+        reads = _count_reads(monkeypatch, lambda item_id, dialogue: owner.update({dialogue.channel_a: item_id}))
+        draws = Counter()
+        apply = training.apply_condition
+
+        def counted(signal, cond, *args):
+            assert not cond.is_clean
+            draws[owner[signal]] += 1
+            return apply(signal, cond, *args)
+
+        monkeypatch.setattr(training, "apply_condition", counted)
         fit(splits["train"], splits["valid"], ModelConfig(context_frames=20), epochs=2,
             bank=synthetic_noise_bank(0))
         manifest = json.loads((written / "manifest.json").read_text())
-        assert reads == Counter(manifest["splits"]["train"] + manifest["splits"]["valid"])
-        assert sum(reads.values()) == 9
+        assert sum(draws.values()) > 0 and set(draws) <= set(manifest["splits"]["train"])
+        assert reads == Counter(manifest["splits"]["train"] + manifest["splits"]["valid"]) + draws
+        assert sum(reads.values()) == 9 + sum(draws.values())
 
     def test_eval_reads_each_item_once(self, written, monkeypatch):
         cfg = ModelConfig(context_frames=20)
@@ -235,21 +247,32 @@ class TestLazySplits:
         assert [item_id for item_id, _, _ in prov] == 5 * ids
 
     def test_no_dialogue_is_alive_at_the_first_training_step(self, written, monkeypatch):
+        # every dialogue and user Waveform read, for preparation or for a
+        # noisy draw, is freed before each epoch's first step
         loaded = []
-        reads = _count_reads(monkeypatch, lambda dialogue: loaded.append(weakref.ref(dialogue)))
-        alive = []
-        step = training.batch_loss_and_grads
+        reads = _count_reads(
+            monkeypatch, lambda _, dialogue: loaded.extend(map(weakref.ref, (dialogue, dialogue.channel_a)))
+        )
+        new_epoch, alive = [], []
+        epoch_windows, step = training._epoch_windows, training.batch_loss_and_grads
+
+        def marked(*args):
+            new_epoch.append(True)
+            return epoch_windows(*args)
 
         def first_step(*args):
-            if not alive:
+            if new_epoch:
                 alive.append([ref for ref in loaded if ref() is not None])
+                new_epoch.clear()
             return step(*args)
 
+        monkeypatch.setattr(training, "_epoch_windows", marked)
         monkeypatch.setattr(training, "batch_loss_and_grads", first_step)
         splits = datasets.load_dataset(written, ["train", "valid"])
-        fit(splits["train"], splits["valid"], ModelConfig(context_frames=20), epochs=1)
-        assert len(loaded) == sum(reads.values()) == 9
-        assert alive == [[]]
+        fit(splits["train"], splits["valid"], ModelConfig(context_frames=20), epochs=2,
+            bank=synthetic_noise_bank(0))
+        assert len(loaded) == 2 * sum(reads.values()) > 2 * 9
+        assert alive == [[], []]
 
 
 class TestEvalLoss:
